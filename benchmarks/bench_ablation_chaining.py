@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import ALL_APPS, app_by_name
 from repro.cluster import decompose_into_clusters, preselect_clusters
-from repro.lang import Interpreter
+from repro.core import profile_app
 from repro.sched import bind_schedule, cluster_metrics, list_schedule
 from repro.sched.asic_memory import make_latency_fn
 from repro.sched.list_scheduler import ChainingModel, ScheduleError
@@ -25,18 +25,15 @@ from repro.tech import cmos6_library, default_resource_sets
 def bench_chaining_effect(benchmark, name):
     app = app_by_name(name)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
     cluster = preselect_clusters(decompose_into_clusters(program), program,
-                                 interp.profile, library, n_max=1)[0]
+                                 profile, library, n_max=1)[0]
     cdfg = program.cdfgs[cluster.function]
     sizes = dict(program.global_arrays)
     sizes.update(cdfg.arrays)
     latency_of = make_latency_fn(sizes, library)
-    ex_times = {b: interp.profile.block_count(cluster.function, b)
+    ex_times = {b: profile.block_count(cluster.function, b)
                 for b in cdfg.blocks}
     schedulable = cluster.schedulable_ops(cdfg)
 

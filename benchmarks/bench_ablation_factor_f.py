@@ -10,11 +10,8 @@ fall back to smaller clusters or give up entirely.
 import pytest
 
 from repro.apps import app_by_name
-from repro.core import PartitionConfig, Partitioner
+from repro.core import PartitionConfig, Partitioner, profile_app
 from repro.core.objective import ObjectiveConfig
-from repro.isa.image import link_program
-from repro.lang import Interpreter
-from repro.power.system import evaluate_initial
 from repro.tech import cmos6_library
 
 
@@ -22,15 +19,8 @@ from repro.tech import cmos6_library
 def trick_setting():
     app = app_by_name("trick")
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
-    image = link_program(program)
-    initial = evaluate_initial(image, library,
-                               globals_init=app.globals_init)
-    return library, program, interp.profile, initial
+    front = profile_app(app, library)
+    return library, front.program, front.profile, front.initial
 
 
 @pytest.mark.benchmark(group="ablation-factor-f")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps import ALL_APPS, app_by_name
 from repro.cluster import decompose_into_clusters, preselect_clusters
-from repro.lang import Interpreter
+from repro.core import profile_app
 from repro.sched import bind_schedule, cluster_metrics, list_schedule
 from repro.sched.asic_memory import make_latency_fn
 from repro.sched.list_scheduler import ScheduleError
@@ -24,13 +24,10 @@ from repro.tech import cmos6_library, default_resource_sets
 def _cluster_metrics_for(name, n_clusters=4):
     app = app_by_name(name)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
     clusters = preselect_clusters(decompose_into_clusters(program), program,
-                                  interp.profile, library, n_max=n_clusters)
+                                  profile, library, n_max=n_clusters)
     # 'large' includes a divider, so division-bearing clusters (e.g. 3d's
     # projection) are schedulable and the ranking compares more candidates.
     resource_set = default_resource_sets()[3]
@@ -47,7 +44,7 @@ def _cluster_metrics_for(name, n_clusters=4):
         except ScheduleError:
             continue
         binding = bind_schedule(schedules, library)
-        ex_times = {b: interp.profile.block_count(cluster.function, b)
+        ex_times = {b: profile.block_count(cluster.function, b)
                     for b in cdfg.blocks}
         results[cluster.name] = cluster_metrics(binding, ex_times, library)
     return results

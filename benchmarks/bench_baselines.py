@@ -16,25 +16,16 @@ from repro.core.baselines import (
     average_power_choice,
     performance_driven_choice,
 )
-from repro.isa.image import link_program
-from repro.lang import Interpreter
-from repro.power.system import evaluate_initial
+from repro.core import profile_app
 from repro.tech import cmos6_library
 
 
 def _prepare(name):
     app = app_by_name(name)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
-    image = link_program(program)
-    initial = evaluate_initial(image, library, args=app.args,
-                               globals_init=app.globals_init,
-                               model_caches=app.model_caches)
-    return Partitioner(program, library, app.config), interp.profile, initial
+    front = profile_app(app, library)
+    return (Partitioner(front.program, library, app.config), front.profile,
+            front.initial)
 
 
 def _predicted_energy(candidate):

@@ -1,16 +1,20 @@
 """Experiment F5 — the complete design flow (paper Fig. 5), staged.
 
 Times each stage of the flow separately on the ``digs`` application:
-compile -> profile -> link -> initial ISS run -> partition search ->
-synthesis + gate-level energy -> partitioned evaluation.
+compile -> link -> initial ISS run -> profile (read off that run) ->
+partition search -> synthesis + gate-level energy -> partitioned
+evaluation.
 """
 
 import pytest
 
 from repro.apps import app_by_name
-from repro.core import LowPowerFlow, Partitioner
-from repro.isa.image import link_program
-from repro.lang import Interpreter
+from repro.core import (
+    LowPowerFlow,
+    Partitioner,
+    profile_app,
+    profile_from_sim,
+)
 from repro.power.system import evaluate_initial, evaluate_partitioned
 from repro.synth.datapath import build_datapath
 from repro.synth.fsm import build_controller
@@ -24,16 +28,11 @@ from repro.tech import cmos6_library
 def staged():
     app = app_by_name("digs")
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
-    image = link_program(program)
-    initial = evaluate_initial(image, library, globals_init=app.globals_init)
-    partitioner = Partitioner(program, library)
-    decision = partitioner.run(interp.profile, initial)
-    return app, library, program, interp.profile, image, initial, decision
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
+    image, initial = front.image, front.initial
+    decision = Partitioner(program, library).run(profile, initial)
+    return app, library, program, profile, image, initial, decision
 
 
 @pytest.mark.benchmark(group="design-flow")
@@ -44,28 +43,19 @@ def bench_stage_compile(benchmark):
 
 
 @pytest.mark.benchmark(group="design-flow")
-def bench_stage_profile(benchmark):
-    app = app_by_name("digs")
-    program = app.compile()
-
-    def profile_run():
-        interp = Interpreter(program)
-        for gname, values in app.globals_init.items():
-            interp.set_global(gname, values)
-        interp.run(*app.args)
-        return interp.profile
-
-    profile = benchmark.pedantic(profile_run, rounds=3, iterations=1)
-    assert profile.steps > 0
-
-
-@pytest.mark.benchmark(group="design-flow")
 def bench_stage_initial_iss(benchmark, staged):
     app, library, program, profile, image, initial, decision = staged
     run = benchmark.pedantic(
         evaluate_initial, args=(image, library),
         kwargs={"globals_init": app.globals_init}, rounds=3, iterations=1)
     assert run.result == initial.result
+
+
+@pytest.mark.benchmark(group="design-flow")
+def bench_stage_profile(benchmark, staged):
+    app, library, program, profile, image, initial, decision = staged
+    derived = benchmark(profile_from_sim, program, image, initial.sim)
+    assert derived == profile and derived.steps > 0
 
 
 @pytest.mark.benchmark(group="design-flow")

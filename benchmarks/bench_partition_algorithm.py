@@ -8,28 +8,16 @@ found, pre-selected (``N_max^c``), evaluated and rejected per application.
 import pytest
 
 from repro.apps import ALL_APPS, app_by_name
-from repro.core import Partitioner
-from repro.isa.image import link_program
-from repro.lang import Interpreter
-from repro.power.system import evaluate_initial
+from repro.core import Partitioner, profile_app
 from repro.tech import cmos6_library
 
 
 def _prepare(name):
     app = app_by_name(name)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
-    image = link_program(program)
-    initial = evaluate_initial(image, library, args=app.args,
-                               globals_init=app.globals_init,
-                               model_caches=app.model_caches)
-    config = app.config
-    partitioner = Partitioner(program, library, config)
-    return partitioner, interp.profile, initial
+    front = profile_app(app, library)
+    partitioner = Partitioner(front.program, library, app.config)
+    return partitioner, front.profile, front.initial
 
 
 @pytest.mark.benchmark(group="partition-algorithm")

@@ -9,7 +9,7 @@ import pytest
 
 from repro.apps import ALL_APPS, app_by_name
 from repro.cluster import decompose_into_clusters, preselect_clusters
-from repro.lang import Interpreter
+from repro.core import profile_app
 from repro.sched import bind_schedule, cluster_metrics, list_schedule
 from repro.sched.asic_memory import make_latency_fn
 from repro.sched.list_scheduler import ScheduleError
@@ -19,15 +19,12 @@ from repro.tech import cmos6_library, default_resource_sets
 def _hot_clusters(name, n_max=4):
     app = app_by_name(name)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for gname, values in app.globals_init.items():
-        interp.set_global(gname, values)
-    interp.run(*app.args)
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
     clusters = decompose_into_clusters(program)
-    kept = preselect_clusters(clusters, program, interp.profile, library,
+    kept = preselect_clusters(clusters, program, profile, library,
                               n_max=n_max)
-    return program, interp.profile, kept, library
+    return program, profile, kept, library
 
 
 @pytest.mark.benchmark(group="utilization")

@@ -16,27 +16,16 @@ Run:  python examples/design_space_exploration.py
 
 from repro import ObjectiveConfig, PartitionConfig, Partitioner
 from repro.apps import app_by_name
+from repro.core import profile_app
 from repro.core.baselines import performance_driven_choice
-from repro.isa.image import link_program
-from repro.lang import Interpreter
-from repro.power.system import evaluate_initial
 from repro.tech import ResourceKind, ResourceSet, cmos6_library
 
 
 def main() -> None:
     app = app_by_name("MPG")
     library = cmos6_library()
-    program = app.compile()
-
-    interp = Interpreter(program)
-    for name, values in app.globals_init.items():
-        interp.set_global(name, values)
-    interp.run(*app.args)
-    profile = interp.profile
-
-    image = link_program(program)
-    initial = evaluate_initial(image, library,
-                               globals_init=app.globals_init)
+    front = profile_app(app, library)
+    program, profile, initial = front.program, front.profile, front.initial
     print(f"initial design: {initial.up_cycles:,} cycles, "
           f"{initial.total_energy_nj / 1e6:.3f} mJ, "
           f"U_uP = {initial.up_utilization:.3f}")

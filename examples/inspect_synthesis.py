@@ -11,7 +11,7 @@ Run:  python examples/inspect_synthesis.py
 
 from repro.apps import app_by_name
 from repro.cluster import decompose_into_clusters, preselect_clusters
-from repro.lang import Interpreter
+from repro.core import profile_app
 from repro.sched import bind_schedule, cluster_metrics, list_schedule
 from repro.sched.asic_memory import make_latency_fn
 from repro.synth import (
@@ -26,15 +26,11 @@ from repro.tech import cmos6_library, default_resource_sets
 def main() -> None:
     app = app_by_name("digs")
     library = cmos6_library()
-    program = app.compile()
-
-    interp = Interpreter(program)
-    for name, values in app.globals_init.items():
-        interp.set_global(name, values)
-    interp.run(*app.args)
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
 
     clusters = preselect_clusters(decompose_into_clusters(program), program,
-                                  interp.profile, library, n_max=1)
+                                  profile, library, n_max=1)
     cluster = clusters[0]
     print(f"hot cluster: {cluster.name} ({len(cluster.blocks)} blocks, "
           f"{len(cluster.fsm_ops)} FSM-realized loop-control ops)")
@@ -64,7 +60,7 @@ def main() -> None:
         print(f"  cs{step:2d}: {' '.join(ops + running) or '-'}")
 
     binding = bind_schedule(schedules, library)
-    ex_times = {b: interp.profile.block_count(cluster.function, b)
+    ex_times = {b: profile.block_count(cluster.function, b)
                 for b in cdfg.blocks}
     metrics = cluster_metrics(binding, ex_times, library)
     print(f"\nbinding: {{ "

@@ -112,9 +112,9 @@ from repro.core import (
     ExplorationEngine,
     IterativePartitioner,
     LowPowerFlow,
+    profile_app,
 )
 from repro.isa.image import link_program
-from repro.lang import Interpreter
 from repro.obs import NullTracer, Tracer, use_tracer
 from repro.power.report import format_savings, format_table1
 from repro.tech import cmos6_library
@@ -800,25 +800,22 @@ def _cmd_pareto(args) -> int:
 def _cmd_clusters(args) -> int:
     app = app_by_name(args.app, scale=args.scale)
     library = cmos6_library()
-    program = app.compile()
-    interp = Interpreter(program)
-    for name, values in app.globals_init.items():
-        interp.set_global(name, values)
-    interp.run(*app.args)
+    front = profile_app(app, library)
+    program, profile = front.program, front.profile
 
     clusters = decompose_into_clusters(program)
     chains = {}
     for cluster in clusters:
         chains.setdefault(cluster.function, []).append(cluster)
     kept = {c.name for c in preselect_clusters(
-        clusters, program, interp.profile, library)}
+        clusters, program, profile, library)}
 
     print(f"{len(clusters)} clusters ({len(kept)} pre-selected):")
     for cluster in clusters:
         cdfg = program.cdfgs[cluster.function]
-        counts = {b: interp.profile.block_count(cluster.function, b)
+        counts = {b: profile.block_count(cluster.function, b)
                   for b in cdfg.blocks}
-        invocations = (interp.profile.call_counts.get(cluster.function, 0)
+        invocations = (profile.call_counts.get(cluster.function, 0)
                        if cluster.kind == "function"
                        else cluster.invocations(counts, cdfg))
         marker = "*" if cluster.name in kept else " "
@@ -845,18 +842,16 @@ def _cmd_ir(args) -> int:
     app = app_by_name(args.app)
     if args.optimize:
         app.optimize = True
-    program = app.compile()
     ex_by_function = None
     if args.profile:
-        interp = Interpreter(program)
-        for name, values in app.globals_init.items():
-            interp.set_global(name, values)
-        interp.run(*app.args)
+        front = profile_app(app, cmos6_library())
+        program = front.program
         ex_by_function = {
-            fname: {b: interp.profile.block_count(fname, b)
-                    for b in cdfg.blocks}
+            fname: front.profile.executions_of(fname, cdfg)
             for fname, cdfg in program.cdfgs.items()
         }
+    else:
+        program = app.compile()
     if args.function is not None:
         if args.function not in program.cdfgs:
             print(f"unknown function {args.function!r}; "

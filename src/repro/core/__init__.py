@@ -8,6 +8,8 @@
   estimate energies, pick the best candidate.
 * :mod:`repro.core.flow` — the full design flow of Fig. 5, from behavioral
   source to the gate-level-checked partitioned system evaluation.
+* :mod:`repro.core.profile` — the flow's front half: ``#ex_times``
+  (footnote 14) read off the initial design's ISS run.
 * :mod:`repro.core.baselines` — comparison partitioners: the classic
   performance-driven approach of the related work, and a COSYN-style
   average-power allocator.
@@ -43,6 +45,12 @@ from repro.core.partitioner import (
     PartitionDecision,
     Partitioner,
     SweepPrep,
+)
+from repro.core.profile import (
+    ProfileError,
+    ProfiledApp,
+    profile_app,
+    profile_from_sim,
 )
 from repro.core.flow import AppSpec, FlowResult, LowPowerFlow
 from repro.core.iterative import (
@@ -94,6 +102,10 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultPlanError",
+    "ProfileError",
+    "ProfiledApp",
+    "profile_app",
+    "profile_from_sim",
     "AppSpec",
     "FlowResult",
     "LowPowerFlow",

@@ -72,12 +72,12 @@ from repro.core.partitioner import (
     Partitioner,
     SweepPrep,
 )
-from repro.isa.image import link_program
-from repro.lang.interp import ExecutionProfile, Interpreter
+from repro.core.profile import profile_app
+from repro.lang.interp import ExecutionProfile
 from repro.lang.program import Program
 from repro.mem.cache import CacheConfig
 from repro.obs import NullTracer, Tracer, get_tracer, use_tracer
-from repro.power.system import SystemRun, evaluate_initial
+from repro.power.system import SystemRun
 from repro.sched.list_scheduler import ScheduleError
 from repro.tech.library import TechnologyLibrary, cmos6_library
 from repro.tech.resources import ResourceSet
@@ -331,23 +331,12 @@ _WORKER_CONTEXTS: Dict[str, _SweepContext] = {}
 
 def _build_sweep_context(payload: AppPayload, library: TechnologyLibrary,
                          config: PartitionConfig) -> _SweepContext:
-    app = payload.to_app()
-    program = app.compile()
-    interp = Interpreter(program)
-    for name, values in app.globals_init.items():
-        interp.set_global(name, values)
-    interp.run(*app.args)
-    profile = interp.profile
-    image = link_program(program)
-    initial = evaluate_initial(
-        image, library, args=app.args, globals_init=app.globals_init,
-        icache_cfg=app.icache, dcache_cfg=app.dcache,
-        model_caches=app.model_caches)
-    partitioner = Partitioner(program, library, config)
-    prep = partitioner.prepare(profile)
+    front = profile_app(payload.to_app(), library)
+    partitioner = Partitioner(front.program, library, config)
+    prep = partitioner.prepare(front.profile)
     return _SweepContext(
-        program=program, profile=profile, initial=initial,
-        partitioner=partitioner, prep=prep,
+        program=front.program, profile=front.profile,
+        initial=front.initial, partitioner=partitioner, prep=prep,
         clusters_by_name={c.name: c for c in prep.preselected})
 
 
@@ -1009,23 +998,12 @@ class ExplorationEngine:
         started = time.perf_counter()
         with use_tracer(tracer), tracer.span("explore.app"):
             config = app.config or self.config or PartitionConfig()
-            with tracer.span("flow.compile"):
-                program = app.compile()
-            with tracer.span("flow.profile"):
-                interp = Interpreter(program)
-                for name, values in app.globals_init.items():
-                    interp.set_global(name, values)
-                interp.run(*app.args)
-            with tracer.span("flow.initial"):
-                image = link_program(program)
-                initial = evaluate_initial(
-                    image, library, args=app.args,
-                    globals_init=app.globals_init, icache_cfg=app.icache,
-                    dcache_cfg=app.dcache, model_caches=app.model_caches)
-            partitioner = Partitioner(program, library, config)
-        decision = self.sweep(partitioner, interp.profile, initial, app=app)
+            front = profile_app(app, library, tracer)
+            partitioner = Partitioner(front.program, library, config)
+        decision = self.sweep(partitioner, front.profile, front.initial,
+                              app=app)
         return ExploreReport(
-            app=app, decision=decision, initial=initial,
+            app=app, decision=decision, initial=front.initial,
             elapsed_s=time.perf_counter() - started,
             cache_stats=self.cache.stats())
 

@@ -23,16 +23,13 @@ from repro.core.partitioner import (
     PartitionDecision,
     Partitioner,
 )
-from repro.isa.image import ProgramImage, link_program
-from repro.lang.interp import ExecutionProfile, Interpreter
+from repro.core.profile import profile_app
+from repro.isa.image import ProgramImage
+from repro.lang.interp import ExecutionProfile
 from repro.lang.program import Program, compile_source
 from repro.mem.cache import CacheConfig
 from repro.obs import NullTracer, Tracer, use_tracer
-from repro.power.system import (
-    SystemRun,
-    evaluate_initial,
-    evaluate_partitioned,
-)
+from repro.power.system import SystemRun, evaluate_partitioned
 from repro.synth.datapath import Datapath, build_datapath
 from repro.synth.fsm import Controller, build_controller
 from repro.synth.gatesim import GateLevelEnergy, estimate_gate_energy
@@ -215,27 +212,13 @@ class LowPowerFlow:
             return self._run_traced(app, tracer)
 
     def _run_traced(self, app: AppSpec, tracer: Tracer) -> FlowResult:
-        with tracer.span("flow.compile"):
-            program = app.compile()
+        # Initial ("I") design on the μP core, profiled (#ex_times) off
+        # that same ISS run.
+        front = profile_app(app, self.library, tracer,
+                            collect_trace=self.collect_traces)
+        program, image = front.program, front.image
+        profile, initial = front.profile, front.initial
         config = app.config or self.config or PartitionConfig()
-
-        # Profiling (#ex_times) on the reference interpreter.
-        with tracer.span("flow.profile"):
-            interp = Interpreter(program)
-            for name, values in app.globals_init.items():
-                interp.set_global(name, values)
-            interp.run(*app.args)
-            profile = interp.profile
-
-        # Initial ("I") design on the μP core.
-        with tracer.span("flow.initial"):
-            image = link_program(program)
-            initial = evaluate_initial(
-                image, self.library, args=app.args,
-                globals_init=app.globals_init,
-                icache_cfg=app.icache, dcache_cfg=app.dcache,
-                model_caches=app.model_caches,
-                collect_trace=self.collect_traces)
 
         partitioner = Partitioner(program, self.library, config)
         engine = self._sweep_engine()

@@ -27,13 +27,9 @@ from repro.core.partitioner import (
     PartitionConfig,
     Partitioner,
 )
-from repro.isa.image import link_program
-from repro.lang.interp import ExecutionProfile, Interpreter
-from repro.power.system import (
-    SystemRun,
-    evaluate_initial,
-    evaluate_partitioned,
-)
+from repro.core.profile import profile_app
+from repro.lang.interp import ExecutionProfile
+from repro.power.system import SystemRun, evaluate_partitioned
 from repro.sched.list_scheduler import ScheduleError
 from repro.sched.utilization import ClusterMetrics
 from repro.synth.rtl_sim import AsicRunStats, simulate_asic
@@ -225,20 +221,9 @@ class IterativePartitioner:
 
     def run(self, app: AppSpec) -> IterativeResult:
         """Run the greedy multi-core loop on one application."""
-        program = app.compile()
-        interp = Interpreter(program)
-        for name, values in app.globals_init.items():
-            interp.set_global(name, values)
-        interp.run(*app.args)
-        profile = interp.profile
-
-        image = link_program(program)
-        initial = evaluate_initial(image, self.library, args=app.args,
-                                   globals_init=app.globals_init,
-                                   icache_cfg=app.icache,
-                                   dcache_cfg=app.dcache,
-                                   model_caches=app.model_caches)
-        partitioner = Partitioner(program, self.library,
+        front = profile_app(app, self.library)
+        image, profile, initial = front.image, front.profile, front.initial
+        partitioner = Partitioner(front.program, self.library,
                                   app.config or self.config)
 
         result = IterativeResult(app=app, initial=initial)

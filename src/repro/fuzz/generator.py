@@ -390,18 +390,28 @@ class _Builder:
         op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
         return (f"{self._expr(scope, 1)} {op} {self._expr(scope, 1)}")
 
-    def _atom(self, scope: _FuncScope) -> str:
+    def _atom(self, scope: _FuncScope, indices: int) -> str:
+        """A scalar, a literal or (while ``indices`` > 0) an array read."""
         rng = self.rng
         roll = rng.random()
         if roll < 0.45 and scope.scalars:
             return rng.choice(scope.scalars)
-        if roll < 0.60 and scope.arrays:
+        if roll < 0.60 and scope.arrays and indices > 0:
             name, size = rng.choice(sorted(scope.arrays.items()))
-            return f"{name}[{self._index_expr(scope, size)}]"
+            return f"{name}[{self._index_expr(scope, size, indices)}]"
         return str(rng.randint(-512, 512))
 
-    def _index_expr(self, scope: _FuncScope, size: int) -> str:
-        """An index provably in ``[0, size)``."""
+    def _index_expr(self, scope: _FuncScope, size: int,
+                    indices: Optional[int] = None) -> str:
+        """An index provably in ``[0, size)``.
+
+        ``indices`` is how many levels of array reads nested inside
+        indices the enclosing expression may still use (at most
+        ``max_expr_depth``); a computed index spends one, so such chains
+        stay bounded.
+        """
+        if indices is None:
+            indices = self.config.max_expr_depth
         rng = self.rng
         # A loop variable with a range inside the array is usable as-is.
         loop_vars = [n for n in scope.scalars if n.startswith("i")]
@@ -415,27 +425,32 @@ class _Builder:
             if hi < size:
                 return var
             return f"({var} & {size - 1})"
-        return f"({self._expr(scope, 1)} & {size - 1})"
+        return f"({self._expr(scope, 1, indices - 1)} & {size - 1})"
 
-    def _expr(self, scope: _FuncScope, depth: int) -> str:
+    def _expr(self, scope: _FuncScope, depth: int,
+              indices: Optional[int] = None) -> str:
+        if indices is None:
+            indices = self.config.max_expr_depth
         rng = self.rng
         if depth <= 0 or rng.random() < 0.30:
             if rng.random() < 0.15:
                 op = rng.choice(["-", "~", "!"])
-                return f"({op}{self._atom(scope)})"
-            return self._atom(scope)
+                return f"({op}{self._atom(scope, indices)})"
+            return self._atom(scope, indices)
         op = rng.choice(self._op_pool)
-        left = self._expr(scope, depth - 1)
+        left = self._expr(scope, depth - 1, indices)
         if op in ("/", "%"):
-            return f"({left} {op} {self._divisor(scope, depth - 1)})"
+            return (f"({left} {op} "
+                    f"{self._divisor(scope, depth - 1, indices)})")
         if op in ("<<", ">>"):
             if rng.random() < 0.5:
                 return f"({left} {op} {rng.randint(0, 31)})"
-            return f"({left} {op} ({self._expr(scope, depth - 1)} & 31))"
-        right = self._expr(scope, depth - 1)
+            shift = self._expr(scope, depth - 1, indices)
+            return f"({left} {op} ({shift} & 31))"
+        right = self._expr(scope, depth - 1, indices)
         return f"({left} {op} {right})"
 
-    def _divisor(self, scope: _FuncScope, depth: int) -> str:
+    def _divisor(self, scope: _FuncScope, depth: int, indices: int) -> str:
         """An expression that cannot evaluate to zero."""
         rng = self.rng
         roll = rng.random()
@@ -443,8 +458,8 @@ class _Builder:
             mag = rng.randint(1, 64)
             return str(mag if rng.random() < 0.8 else -mag)
         if roll < 0.7:
-            return f"(({self._expr(scope, depth)} & 7) + 1)"
-        return f"({self._expr(scope, depth)} | 1)"
+            return f"(({self._expr(scope, depth, indices)} & 7) + 1)"
+        return f"({self._expr(scope, depth, indices)} | 1)"
 
     def _call_expr(self, scope: _FuncScope, helper: _Helper) -> Optional[str]:
         args = [self._expr(scope, 1) for _ in range(helper.scalar_params)]

@@ -1,4 +1,4 @@
-"""The differential oracle stack: four executors, one verdict.
+"""The differential oracle stack: five checks, one verdict.
 
 For one :class:`~repro.fuzz.generator.FuzzProgram` the stack runs:
 
@@ -10,7 +10,11 @@ For one :class:`~repro.fuzz.generator.FuzzProgram` the stack runs:
    against the reference engine for *bit-identical observables*: result,
    cycles, instruction counts, float energies, per-block attribution,
    cache/bus/memory counters and the memory-reference trace;
-4. periodically, the **full partitioning flow** under the
+4. the **ISS-derived profile** (:func:`repro.core.profile.profile_from_sim`
+   on the compiled engine's run) — checked against the interpreter's
+   :class:`~repro.lang.ExecutionProfile` field for field, since the flow
+   takes ``#ex_times`` from the ISS run;
+5. periodically, the **full partitioning flow** under the
    :mod:`repro.verify` invariant audit (``LowPowerFlow(verify=True,
    collect_traces=True)``) — results must match the interpreter, the
    partitioned system must be functionally identical, and the audit must
@@ -28,10 +32,11 @@ classification, shrinking, exit codes — is testable end to end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.image import link_program
+from repro.core.profile import ProfileError, profile_from_sim
+from repro.isa.image import ProgramImage, link_program
 from repro.isa.instructions import Opcode
 from repro.isa.simulator import SimError, Simulator
 from repro.lang import InterpError, Interpreter, compile_source
@@ -65,7 +70,11 @@ CACHE_GEOMETRIES: Dict[str, Optional[Tuple[CacheConfig, CacheConfig]]] = {
 _ENGINE_FIELDS = ("result", "cycles", "instructions", "energy_nj",
                   "stall_cycles", "taken_branches", "hw_instructions",
                   "hw_entries", "block_cycles", "block_energy_nj",
-                  "block_counts", "resource_active_cycles")
+                  "block_counts", "resource_active_cycles", "pc_counts")
+
+#: ExecutionProfile fields compared between the interpreter and the ISS.
+_PROFILE_FIELDS = ("block_counts", "call_counts", "steps", "op_counts",
+                   "result")
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,13 @@ def _swap_sub_operands(sim: Simulator) -> None:
             sim._rs1[pc], sim._rs2[pc] = sim._rs2[pc], sim._rs1[pc]
 
 
+def _bump_main_label_count(image: ProgramImage, counts: List[int]) -> None:
+    """Profile bug: the count at ``main``'s first block label is one high."""
+    pc = next(pc for label, pc in image.labels["main"].items()
+              if not label.startswith("__"))
+    counts[pc] += 1
+
+
 class _ShrMask15Interpreter(Interpreter):
     """Interpreter bug: logical shifts mask the amount to 4 bits."""
 
@@ -166,6 +182,8 @@ class InjectedBug:
     engines: Tuple[str, ...] = ("reference", "compiled")
     #: Replacement interpreter class.
     interpreter_cls: type = Interpreter
+    #: Mutates a copy of the per-pc counts the ISS profile is read from.
+    mutate_counts: Optional[Callable[[ProgramImage, List[int]], None]] = None
 
 
 #: Registry of injectable bugs (``repro fuzz --inject-bug NAME``).
@@ -187,6 +205,11 @@ KNOWN_BUGS: Dict[str, InjectedBug] = {
             description="the interpreter masks logical-shift amounts to 4 "
                         "bits instead of 5",
             interpreter_cls=_ShrMask15Interpreter),
+        InjectedBug(
+            name="profile-label-off-by-one",
+            description="the ISS-derived profile reads one too many "
+                        "executions at main's first block label",
+            mutate_counts=_bump_main_label_count),
     )
 }
 
@@ -328,8 +351,10 @@ class OracleStack:
                                     engine_runs["reference"])
         self._compare_engines(outcome, engine_runs["reference"],
                               engine_runs["compiled"])
+        self._compare_profiles(outcome, program, image, interp.profile,
+                               engine_runs["compiled"][0])
 
-        # 4. Full flow + invariant audit (periodic; expensive).
+        # 5. Full flow + invariant audit (periodic; expensive).
         if self.config.run_flow and not outcome.mismatches:
             self._check_flow(fuzz_program, outcome, geometry, interp_result)
 
@@ -414,6 +439,29 @@ class OracleStack:
                 parties="iss-reference vs iss-compiled",
                 detail=f"memory-reference traces diverge at event {first} "
                        f"(lengths {len(ref_trace)}/{len(com_trace)})"))
+
+    def _compare_profiles(self, outcome: OracleOutcome, program: Program,
+                          image: ProgramImage, interp_profile,
+                          sim_result) -> None:
+        """The flow's ISS-derived profile must equal the interpreter's."""
+        if self._bug is not None and self._bug.mutate_counts is not None:
+            counts = list(sim_result.pc_counts)
+            self._bug.mutate_counts(image, counts)
+            sim_result = replace(sim_result, pc_counts=counts)
+        try:
+            derived = profile_from_sim(program, image, sim_result)
+        except ProfileError as exc:
+            detail = f"derivation failed: {exc}"
+        else:
+            fields = [name for name in _PROFILE_FIELDS
+                      if getattr(derived, name)
+                      != getattr(interp_profile, name)]
+            if not fields:
+                return
+            detail = f"fields differ: {', '.join(fields)}"
+        outcome.mismatches.append(Mismatch(
+            kind="profile.iss", parties="interp vs iss-profile",
+            detail=detail))
 
     def _check_flow(self, fuzz_program, outcome: OracleOutcome,
                     geometry: str, interp_result: int) -> None:

@@ -40,6 +40,11 @@ class ProgramImage:
         symbol_addresses: global array symbol -> byte address.
         attribution: per-instruction ``(function, block)`` labels.
         frame_sizes: function -> frame bytes.
+        labels: function -> ``{label: pc}`` in layout order:
+            ``__function_entry``, the IR blocks, ``__epilogue``.  A block
+            that lowers to no instructions shares its pc with the next
+            label.
+        symbol_sizes: global array symbol -> element count.
     """
 
     name: str
@@ -49,6 +54,8 @@ class ProgramImage:
     symbol_addresses: Dict[str, int]
     attribution: List[Tuple[str, str]]
     frame_sizes: Dict[str, int] = field(default_factory=dict)
+    labels: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    symbol_sizes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -95,6 +102,7 @@ def link_program(program: Program) -> ProgramImage:
     attribution: List[Tuple[str, str]] = []
     function_ranges: Dict[str, Tuple[int, int]] = {}
     frame_sizes: Dict[str, int] = {}
+    labels: Dict[str, Dict[str, int]] = {}
 
     # Entry stub.
     stub_call = Instruction(Opcode.CALL, target=program.entry)
@@ -108,6 +116,9 @@ def link_program(program: Program) -> ProgramImage:
         base = len(instructions)
         function_ranges[name] = (base, base + code.size)
         frame_sizes[name] = code.frame_size
+        # label_index is insertion-ordered, i.e. in layout order.
+        labels[name] = {label: base + pos
+                        for label, pos in code.label_index.items()}
 
         # Block attribution from label positions.
         boundaries = sorted(
@@ -148,4 +159,6 @@ def link_program(program: Program) -> ProgramImage:
         symbol_addresses=global_layout,
         attribution=attribution,
         frame_sizes=frame_sizes,
+        labels=labels,
+        symbol_sizes=dict(program.global_arrays),
     )

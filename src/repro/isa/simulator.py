@@ -84,6 +84,8 @@ class SimResult:
     stall_cycles: int = 0
     hw_instructions: int = 0
     hw_entries: int = 0
+    #: Software-side executions of each pc (hardware-shadow pcs read 0).
+    pc_counts: List[int] = field(default_factory=list)
 
     @property
     def utilization(self) -> float:
@@ -191,6 +193,10 @@ class Simulator:
         address = self.image.symbol_addresses.get(symbol)
         if address is None:
             raise KeyError(f"unknown global {name!r}")
+        size = self.image.symbol_sizes[symbol]
+        if len(values) != size:
+            raise ValueError(
+                f"global {name!r} has {size} elements, got {len(values)}")
         word = address // WORD_BYTES
         for offset, value in enumerate(values):
             self.memory[word + offset] = _wrap32(value)
@@ -560,4 +566,5 @@ class Simulator:
             resource_active_cycles=resource_active,
             taken_branches=taken_branches,
             stall_cycles=stall_cycles,
+            pc_counts=list(counts),
         )

@@ -11,7 +11,7 @@ ASIC-side cluster is simulated functionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.cdfg import CDFG
 from repro.ir.ops import Operation, OpKind, Value
@@ -74,6 +74,40 @@ class ExecutionProfile:
 TraceEvent = Tuple[bool, str, int]
 
 
+def check_workload(program: Program,
+                   args: Optional[Sequence[int]] = None,
+                   globals_init: Optional[Mapping[str, Sequence[int]]] = None
+                   ) -> None:
+    """Reject a workload binding the program cannot run, before running it.
+
+    Globals are checked first (``KeyError`` for an unknown name,
+    ``ValueError`` for a length that differs from the declaration), then
+    the entry function (:class:`InterpError` for array parameters or a
+    wrong argument count; skipped when ``args`` is None).  The
+    interpreter and the flow's ISS-based profiling share these checks,
+    so both reject the same bindings with the same messages.
+    """
+    for name, values in (globals_init or {}).items():
+        symbol = name if name in program.global_arrays else f"__g_{name}"
+        size = program.global_arrays.get(symbol)
+        if size is None:
+            raise KeyError(f"unknown global {name!r}")
+        if len(values) != size:
+            raise ValueError(
+                f"global {name!r} has {size} elements, got {len(values)}")
+    if args is None:
+        return
+    entry = program.entry
+    signature = program.signatures[entry]
+    if any(signature.param_is_array):
+        raise InterpError(
+            f"entry {entry!r} takes array parameters; bind globals instead")
+    if len(args) != len(signature.param_names):
+        raise InterpError(
+            f"entry {entry!r} expects {len(signature.param_names)} args, "
+            f"got {len(args)}")
+
+
 class Interpreter:
     """Executes a compiled :class:`~repro.lang.program.Program`.
 
@@ -99,14 +133,9 @@ class Interpreter:
 
     def set_global(self, name: str, values: List[int]) -> None:
         """Initialize a global array (or scalar global by bare name)."""
+        check_workload(self.program, globals_init={name: values})
         symbol = name if name in self.globals else f"__g_{name}"
-        if symbol not in self.globals:
-            raise KeyError(f"unknown global {name!r}")
-        storage = self.globals[symbol]
-        if len(values) != len(storage):
-            raise ValueError(
-                f"global {name!r} has {len(storage)} elements, got {len(values)}")
-        storage[:] = [wrap32(v) for v in values]
+        self.globals[symbol][:] = [wrap32(v) for v in values]
 
     def get_global(self, name: str) -> List[int]:
         symbol = name if name in self.globals else f"__g_{name}"
@@ -114,15 +143,9 @@ class Interpreter:
 
     def run(self, *args: int) -> int:
         """Execute the entry function with scalar arguments; return its value."""
+        check_workload(self.program, args)
         entry = self.program.entry
         signature = self.program.signatures[entry]
-        if any(signature.param_is_array):
-            raise InterpError(
-                f"entry {entry!r} takes array parameters; bind globals instead")
-        if len(args) != len(signature.param_names):
-            raise InterpError(
-                f"entry {entry!r} expects {len(signature.param_names)} args, "
-                f"got {len(args)}")
         scalars = {name: wrap32(value)
                    for name, value in zip(signature.param_names, args)}
         result = self._call(entry, scalars, {})

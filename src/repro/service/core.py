@@ -40,6 +40,7 @@ from repro.core.checkpoint import checkpoint_context_key
 from repro.core.explore import EvaluationCache, ExplorationEngine
 from repro.core.flow import AppSpec, FlowResult
 from repro.core.partitioner import PartitionConfig
+from repro.lang import Interpreter
 from repro.obs import NullTracer, Tracer, use_tracer
 from repro.power.system import SystemRun
 
@@ -397,12 +398,22 @@ class ServiceCore:
         optional ``callback(done, total)`` forwarded to the engine's
         sweep-progress hook for the lifetime of this evaluation (the
         job tier streams it to ``/v1/jobs/{id}/events`` subscribers).
+
+        A ``source`` request first runs once on the CDFG interpreter:
+        the flow profiles on the ISS, which cannot see an out-of-range
+        array index, so untrusted programs are validated on the
+        reference semantics (bundled applications skip this).
         """
         with self._lock:
             tracer = self.tracer
             started = time.perf_counter()
             digest = request.digest()
             app = request.to_app()
+            if request.source is not None:
+                interp = Interpreter(app.compile())
+                for name, values in app.globals_init.items():
+                    interp.set_global(name, values)
+                interp.run(*app.args)
             engine = self._engine(request.tech, request)
             engine.progress = progress
             try:

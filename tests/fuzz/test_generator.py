@@ -48,6 +48,38 @@ def test_generated_programs_are_valid_by_construction(index):
     interp.run(*program.args)
 
 
+def _nesting(source, open_char, close_char):
+    deepest = depth = 0
+    for char in source:
+        if char == open_char:
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char == close_char:
+            depth -= 1
+    return deepest
+
+
+def test_array_index_chains_respect_max_expr_depth():
+    # Seed 7 program 448 once nested array reads inside indices into
+    # 51 KB lines that overflowed the parser's recursion.  Each computed
+    # index now spends one of max_expr_depth levels, so with L levels
+    # and top-level expressions of depth D <= L, an expression nests at
+    # most 5L + 3D + 1 parentheses: an index costs its mask plus a
+    # depth-1 expression (5), an operator level at most a masked
+    # divisor (3), and a leaf one unary minus.
+    levels = GeneratorConfig().max_expr_depth
+    bound = 5 * levels + 3 * levels + 1
+    program = ProgramGenerator(seed=7).generate(448)
+    compile_source(program.source, name=program.name)
+    assert _nesting(program.source, "[", "]") <= levels
+    assert _nesting(program.source, "(", ")") <= bound
+    generator = ProgramGenerator(seed=7)
+    for index in range(200):
+        source = generator.generate(index).source
+        assert _nesting(source, "[", "]") <= levels
+        assert _nesting(source, "(", ")") <= bound
+
+
 def test_trip_budget_bounds_dynamic_cost():
     config = GeneratorConfig(trip_budget=500)
     for index in range(10):

@@ -86,6 +86,15 @@ def test_every_known_bug_fires_within_a_small_campaign():
             f"bug {bug_name!r} survived 30 generated programs undetected"
 
 
+def test_profile_label_off_by_one_is_caught_as_profile_mismatch():
+    stack = OracleStack(OracleConfig(inject_bug="profile-label-off-by-one"))
+    outcome = stack.check(SUB_PROGRAM)
+    assert outcome.failed
+    # Both executors still agree; only the derived profile is wrong.
+    assert outcome.kinds == ("profile.iss",)
+    assert "block_counts" in outcome.mismatches[0].detail
+
+
 def test_interpreter_fault_requires_iss_fault_agreement():
     faulting = _program(
         "func main(a: int) -> int {\n"

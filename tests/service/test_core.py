@@ -175,3 +175,65 @@ class TestServiceCore:
         with ServiceCore() as core:
             with pytest.raises(VerificationRejected):
                 core.evaluate(PartitionRequest.from_dict({"app": "ckey"}))
+
+
+OOB_SOURCE = """
+global G: int[8];
+
+func main() -> int {
+    var i: int = 9;
+    return G[i];
+}
+"""
+
+
+class TestSourceValidation:
+    """Untrusted ``source`` workloads keep the interpreter's checks.
+
+    The flow profiles on the ISS, which reads past an array without
+    noticing; a ``source`` job must still fail with the interpreter's
+    message, as it did when the flow profiled on the interpreter.
+    """
+
+    @pytest.mark.parametrize("payload, error", [
+        ({"globals": {"G": [0] * 8}},
+         "InterpError: load index 9 out of range for 'G'[8] in main"),
+        ({"globals": {"G": [0] * 8}, "args": [1]},
+         "InterpError: entry 'main' expects 0 args, got 1"),
+        ({"globals": {"G": [1, 2]}},
+         "ValueError: global 'G' has 8 elements, got 2"),
+    ], ids=["out-of-range-index", "wrong-arity", "mis-sized-global"])
+    def test_bad_source_job_fails_with_interpreter_message(self, payload,
+                                                           error):
+        import asyncio
+
+        from repro.service import JobManager
+        from tests.service.test_jobs import drain_until_finished
+
+        request = PartitionRequest.from_dict(
+            dict(payload, source=OOB_SOURCE, name="oob"))
+        manager = JobManager(ServiceCore())
+
+        async def scenario():
+            job, _ = manager.submit(request)
+            await drain_until_finished(manager, job, timeout_s=60)
+            await manager.close()
+            return job
+
+        job = asyncio.run(scenario())
+        assert job.state == "failed"
+        assert job.error == error
+
+    def test_bundled_apps_skip_the_interpreter(self, monkeypatch):
+        import repro.service.core as service_core
+
+        class Refuse:
+            def __init__(self, *_args, **_kwargs):
+                raise AssertionError("bundled apps must not be "
+                                     "interpreted")
+
+        monkeypatch.setattr(service_core, "Interpreter", Refuse)
+        with ServiceCore() as core:
+            result = core.evaluate(
+                PartitionRequest.from_dict({"app": "ckey"}))
+        assert result.to_dict()["verified"] is True

@@ -15,10 +15,37 @@ import threading
 import pytest
 
 from repro.obs import Tracer
-from repro.service import ServiceClient, ServiceServer, build_request_payload
+from repro.service import (
+    ServiceClient,
+    ServiceCore,
+    ServiceServer,
+    build_request_payload,
+)
 
 from tests.service.conftest import spawn_server
 from tests.service.test_server import serve_and_call
+
+
+class HeldCore(ServiceCore):
+    """A kernel whose evaluations wait until the test releases them.
+
+    Lets a test hold every job pending for exactly as long as it needs,
+    instead of betting that an evaluation outlasts a few HTTP round
+    trips.  Sibling lanes share the same release event.
+    """
+
+    def __init__(self, release: threading.Event, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.release = release
+
+    def spawn(self) -> "HeldCore":
+        return HeldCore(self.release, jobs=self.jobs, cache=self.cache,
+                        tracer=self.tracer, verify=self.verify,
+                        timeout=self.timeout, retries=self.retries)
+
+    def evaluate(self, request, progress=None):
+        assert self.release.wait(timeout=120), "test never released"
+        return super().evaluate(request, progress)
 
 
 class TestHttpSoak:
@@ -67,15 +94,20 @@ class TestHttpSoak:
             assert job["result"]["verified"] is True
 
     def test_saturation_sheds_fairly_over_http(self):
-        server = ServiceServer(lanes=2, max_queue=8,
-                               max_pending_per_client=1)
+        release = threading.Event()
+        server = ServiceServer(core=HeldCore(release), lanes=2,
+                               max_queue=8, max_pending_per_client=1)
 
         def work(client):
-            flood = [client.submit(build_request_payload(
-                "ckey", scale=scale, client="flood"))
-                for scale in range(1, 4)]
-            other = client.submit(build_request_payload(
-                "ckey", scale=9, client="other"))
+            # Every job stays pending until all four POSTs are answered.
+            try:
+                flood = [client.submit(build_request_payload(
+                    "ckey", scale=scale, client="flood"))
+                    for scale in range(1, 4)]
+                other = client.submit(build_request_payload(
+                    "ckey", scale=9, client="other"))
+            finally:
+                release.set()
             return flood, other
 
         flood, other = serve_and_call(server, work, timeout_s=300)
