@@ -6,8 +6,8 @@ candidate, so those pure-Python paths dominate the wall-clock of
 ``explore``/``table1``.  This module pins them under a *standing* suite:
 
 * **microbenchmarks** (``micro.*``) — steady-state ops/sec of the ISS,
-  the set-associative cache, the trace-driven profiler replay and the
-  gate-level energy evaluator;
+  the set-associative cache, the trace-driven profiler replay and
+  geometry sweep, and the gate-level energy evaluator;
 * **end-to-end flows** (``e2e.*``) — wall seconds of the full Fig. 5 flow
   per application (the unit of ``table1``) and of an engine-backed
   ``explore`` sweep.
@@ -177,16 +177,26 @@ def _bench_cache(ctx: BenchContext):
     return run_once
 
 
-def _bench_profiler(ctx: BenchContext):
-    """Trace-driven profiler replay (trace iteration + two cache cores):
-    trace events/sec."""
-    from repro.mem.profiler import replay
+def _replay_trace(ctx: BenchContext):
+    """The digs trace the replay benchmarks share (first 60k events
+    under ``quick``).  Importing the batched kernel here pays its lazy
+    numpy import in set-up rather than in the first timed run."""
+    import repro.mem.cache_batch  # noqa: F401
     from repro.mem.trace import MemoryTrace
-    from repro.power.system import default_cache_configs
 
     trace = ctx.memory_trace("digs")
     if ctx.quick and len(trace) > 60_000:
         trace = MemoryTrace(events=trace.events[:60_000])
+    return trace
+
+
+def _bench_profiler(ctx: BenchContext):
+    """Trace-driven profiler replay (trace iteration + two cache cores):
+    trace events/sec."""
+    from repro.mem.profiler import replay
+    from repro.power.system import default_cache_configs
+
+    trace = _replay_trace(ctx)
     icfg, dcfg = default_cache_configs()
 
     def run_once():
@@ -198,6 +208,26 @@ def _bench_profiler(ctx: BenchContext):
     return run_once
 
 
+def _bench_profiler_sweep(ctx: BenchContext):
+    """Footnote-4 geometry sweep: the default 18-pair space over the digs
+    trace in one ``profile_configs`` call — (events x pairs)/sec, so a
+    return to one trace pass per pair reads as a several-fold drop."""
+    from repro.mem.explore import default_search_space
+    from repro.mem.profiler import profile_configs
+
+    trace = _replay_trace(ctx)
+    space = default_search_space()
+
+    def run_once():
+        start = time.perf_counter()
+        profiles = profile_configs(trace, space)
+        elapsed = time.perf_counter() - start
+        return len(trace) * len(profiles) / elapsed, {
+            "events": len(trace), "pairs": len(profiles)}
+
+    return run_once
+
+
 def _bench_cache_batch(ctx: BenchContext):
     """Batched trace-replay kernel (``engine="batch"``) on the digs
     trace: trace events/sec.  The micro.profiler.replay entry measures
@@ -205,12 +235,9 @@ def _bench_cache_batch(ctx: BenchContext):
     directly so a fallback regression (e.g. numpy silently absent)
     shows up even if the default path is rerouted."""
     from repro.mem.cache_batch import replay_batch
-    from repro.mem.trace import MemoryTrace
     from repro.power.system import default_cache_configs
 
-    trace = ctx.memory_trace("digs")
-    if ctx.quick and len(trace) > 60_000:
-        trace = MemoryTrace(events=trace.events[:60_000])
+    trace = _replay_trace(ctx)
     icfg, dcfg = default_cache_configs()
 
     def run_once():
@@ -336,6 +363,11 @@ def _specs() -> List[BenchSpec]:
                   "footnote-4 cache adaptation replays one trace through "
                   "many geometries; throughput bounds the sweep width",
                   _bench_profiler, disable_gc=True),
+        BenchSpec("micro.profiler.sweep", "ops/s", True,
+                  "cachesweep replays each trace across the whole default "
+                  "geometry space; one pass per trace, not one per pair, "
+                  "is what keeps the sweep cheap",
+                  _bench_profiler_sweep, disable_gc=True),
         BenchSpec("micro.cache_batch", "ops/s", True,
                   "the chunked kernel behind profiler engine=batch; "
                   "pinned directly so a silent fallback (no numpy) "

@@ -38,8 +38,14 @@ caller forces ``vectorized=False``) the kernel falls back to a pure
 Python chunked loop with identical observable behaviour, and bumps the
 ``mem.batch.fallback`` counter.
 
+A geometry sweep (:func:`replay_sweep`) walks the trace once: each chunk
+is converted and split into its i and d streams once, then fed to one
+:class:`BatchCache` per distinct cache geometry, so pairs that share an
+i-cache or a d-cache share its replay.
+
 Counters (see docs/OBSERVABILITY.md): ``mem.batch.replays``,
-``mem.batch.chunks``, ``mem.batch.events``, ``mem.batch.fallback``.
+``mem.batch.caches``, ``mem.batch.chunks``, ``mem.batch.events``,
+``mem.batch.fallback``.
 """
 
 from __future__ import annotations
@@ -375,20 +381,25 @@ class BatchCache:
         return cache
 
 
-def replay_batch(trace: MemoryTrace,
-                 icache_cfg: CacheConfig,
-                 dcache_cfg: CacheConfig,
+def replay_sweep(trace: MemoryTrace,
+                 space: Sequence[Tuple[CacheConfig, CacheConfig]],
                  *,
                  chunk_events: int = DEFAULT_CHUNK_EVENTS,
                  vectorized: Optional[bool] = None,
-                 ) -> Tuple[Cache, Cache]:
-    """Replay ``trace`` through an (i-cache, d-cache) pair in chunks.
+                 ) -> List[Tuple[Cache, Cache]]:
+    """Replay ``trace`` through every (i-cache, d-cache) pair of ``space``
+    in one pass.
 
     Routing matches the scalar profiler loop: IFETCH events feed the
     i-cache as reads, READ events feed the d-cache as reads, and any
-    other kind feeds the d-cache as a write.  Returns the two
-    materialized :class:`Cache` objects, bit-identical (counters and
-    tag store) to a scalar :meth:`Cache.access` replay.
+    other kind feeds the d-cache as a write.  Caches are independent, so
+    each distinct i-cache and d-cache geometry is replayed once however
+    many pairs share it, and each chunk of the trace is converted and
+    split into its i and d streams once for all of them.  Returns one
+    ``(icache, dcache)`` pair of freshly materialized :class:`Cache`
+    objects per entry of ``space``, in order — bit-identical (counters
+    and tag store) to a scalar :meth:`Cache.access` replay of that pair;
+    no two entries share a :class:`Cache`.
 
     ``vectorized``: None picks numpy when importable, False forces the
     pure-Python chunked fallback, True requires numpy.
@@ -401,12 +412,17 @@ def replay_batch(trace: MemoryTrace,
         raise RuntimeError(
             "numpy is not available: pass vectorized=False (or None) to "
             "use the pure-Python batched fallback")
+    if not space:
+        return []
+    # CacheConfig is frozen (hashable): one replay state per distinct
+    # geometry and stream, in first-seen order.
+    ibatches = {icfg: BatchCache(icfg, "icache") for icfg, _ in space}
+    dbatches = {dcfg: BatchCache(dcfg, "dcache") for _, dcfg in space}
     tracer = get_tracer()
     tracer.count("mem.batch.replays")
+    tracer.count("mem.batch.caches", len(ibatches) + len(dbatches))
     if not vectorized:
         tracer.count("mem.batch.fallback")
-    ibatch = BatchCache(icache_cfg, "icache")
-    dbatch = BatchCache(dcache_cfg, "dcache")
     events = trace.events
     ifetch = int(Access.IFETCH)
     read = int(Access.READ)
@@ -424,11 +440,15 @@ def replay_batch(trace: MemoryTrace,
             addresses = array[:, 1]
             imask = kinds == ifetch
             if imask.any():
-                ibatch.consume_vector(addresses[imask])
+                ifetches = addresses[imask]
+                for batch in ibatches.values():
+                    batch.consume_vector(ifetches)
             dmask = ~imask
             if dmask.any():
-                dbatch.consume_vector(addresses[dmask],
-                                      kinds[dmask] != read)
+                daddresses = addresses[dmask]
+                dwrites = kinds[dmask] != read
+                for batch in dbatches.values():
+                    batch.consume_vector(daddresses, dwrites)
         else:
             ipairs: List[Tuple[int, bool]] = []
             dpairs: List[Tuple[int, bool]] = []
@@ -437,6 +457,22 @@ def replay_batch(trace: MemoryTrace,
                     ipairs.append((address, False))
                 else:
                     dpairs.append((address, kind != read))
-            ibatch.consume_scalar(ipairs)
-            dbatch.consume_scalar(dpairs)
-    return ibatch.finish(), dbatch.finish()
+            for batch in ibatches.values():
+                batch.consume_scalar(ipairs)
+            for batch in dbatches.values():
+                batch.consume_scalar(dpairs)
+    return [(ibatches[icfg].finish(), dbatches[dcfg].finish())
+            for icfg, dcfg in space]
+
+
+def replay_batch(trace: MemoryTrace,
+                 icache_cfg: CacheConfig,
+                 dcache_cfg: CacheConfig,
+                 *,
+                 chunk_events: int = DEFAULT_CHUNK_EVENTS,
+                 vectorized: Optional[bool] = None,
+                 ) -> Tuple[Cache, Cache]:
+    """Replay ``trace`` through one (i-cache, d-cache) pair in chunks:
+    the one-pair case of :func:`replay_sweep`."""
+    return replay_sweep(trace, [(icache_cfg, dcache_cfg)],
+                        chunk_events=chunk_events, vectorized=vectorized)[0]

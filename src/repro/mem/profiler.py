@@ -16,9 +16,11 @@ Mirroring the ISS's compiled/reference split, :func:`replay` takes an
 
 * ``"auto"`` (default) and ``"batch"`` run the chunked kernel of
   :mod:`repro.mem.cache_batch` (numpy-vectorized when numpy is
-  importable, pure-Python chunked fallback otherwise);
+  importable, pure-Python chunked fallback otherwise), which walks the
+  trace once for a whole geometry space and replays each distinct
+  i-cache and d-cache geometry once;
 * ``"reference"`` runs the original one-:meth:`Cache.access`-per-event
-  loop.
+  loop, once per pair.
 
 Both produce bit-identical :class:`CacheProfile` results — counters,
 final tag state, stalls, and memory traffic
@@ -33,6 +35,7 @@ from typing import List, Sequence, Tuple
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.cache_energy import CacheEnergyModel
 from repro.mem.trace import Access, MemoryTrace
+from repro.obs import get_tracer
 
 #: Valid values for the ``engine=`` selector, mirroring the ISS pattern.
 MEM_ENGINES = ("auto", "batch", "reference")
@@ -71,12 +74,31 @@ def replay(trace: MemoryTrace,
     ``engine``: ``"auto"``/``"batch"`` use the chunked batched kernel,
     ``"reference"`` the scalar per-event loop (see module docstring).
     """
+    return profile_configs(trace, [(icache_cfg, dcache_cfg)],
+                           engine=engine)[0]
+
+
+def profile_configs(trace: MemoryTrace,
+                    space: Sequence[Tuple[CacheConfig, CacheConfig]],
+                    engine: str = "auto") -> List[CacheProfile]:
+    """Replay one trace against every geometry pair in ``space``.
+
+    The batched engines walk the trace once for the whole space
+    (:func:`repro.mem.cache_batch.replay_sweep`); ``"reference"``
+    replays each pair on its own.  Returns one profile per pair, in
+    ``space`` order.
+    """
     if engine not in MEM_ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of "
                          f"{', '.join(MEM_ENGINES)})")
-    if engine != "reference":
-        from repro.mem.cache_batch import replay_batch
-        icache, dcache = replay_batch(trace, icache_cfg, dcache_cfg)
+    with get_tracer().span("mem.replay"):
+        if engine == "reference":
+            return [_replay_reference(trace, icfg, dcfg)
+                    for icfg, dcfg in space]
+        from repro.mem.cache_batch import replay_sweep
+        caches = replay_sweep(trace, space)
+    profiles = []
+    for (icache_cfg, dcache_cfg), (icache, dcache) in zip(space, caches):
         # Stall cycles and memory traffic are pure functions of the
         # counters: every read miss stalls for miss_penalty and refills
         # line_words words; every write goes through to memory.
@@ -84,11 +106,17 @@ def replay(trace: MemoryTrace,
                  + dcache.read_misses * dcache_cfg.miss_penalty)
         mem_reads = (icache.read_misses * icache_cfg.line_words
                      + dcache.read_misses * dcache_cfg.line_words)
-        return CacheProfile(icache_cfg=icache_cfg, dcache_cfg=dcache_cfg,
-                            icache=icache, dcache=dcache,
-                            stall_cycles=stall,
-                            memory_word_reads=mem_reads,
-                            memory_word_writes=dcache.writes)
+        profiles.append(CacheProfile(
+            icache_cfg=icache_cfg, dcache_cfg=dcache_cfg,
+            icache=icache, dcache=dcache, stall_cycles=stall,
+            memory_word_reads=mem_reads, memory_word_writes=dcache.writes))
+    return profiles
+
+
+def _replay_reference(trace: MemoryTrace,
+                      icache_cfg: CacheConfig,
+                      dcache_cfg: CacheConfig) -> CacheProfile:
+    """The scalar oracle: one :meth:`Cache.access` per event."""
     icache = Cache(icache_cfg, "icache")
     dcache = Cache(dcache_cfg, "dcache")
     stall = 0
@@ -110,13 +138,6 @@ def replay(trace: MemoryTrace,
                         icache=icache, dcache=dcache, stall_cycles=stall,
                         memory_word_reads=mem_reads,
                         memory_word_writes=mem_writes)
-
-
-def profile_configs(trace: MemoryTrace,
-                    space: Sequence[Tuple[CacheConfig, CacheConfig]],
-                    engine: str = "auto") -> List[CacheProfile]:
-    """Replay one trace against every geometry pair in ``space``."""
-    return [replay(trace, icfg, dcfg, engine=engine) for icfg, dcfg in space]
 
 
 def best_profile(profiles: Sequence[CacheProfile], library,

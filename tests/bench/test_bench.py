@@ -239,10 +239,10 @@ def fake_spec(name, values, unit="ops/s", higher_is_better=True):
 class TestSuiteAndReports:
     def test_pinned_suite_names(self):
         names = [s.name for s in iter_specs()]
-        assert names[:7] == [
+        assert names[:8] == [
             "micro.iss", "micro.iss.reference", "micro.cache",
-            "micro.profiler.replay", "micro.cache_batch", "micro.gatesim",
-            "micro.checkpoint.journal"]
+            "micro.profiler.replay", "micro.profiler.sweep",
+            "micro.cache_batch", "micro.gatesim", "micro.checkpoint.journal"]
         from repro.apps import ALL_APPS
         for app in ALL_APPS:
             assert f"e2e.table1.{app}" in names

@@ -89,6 +89,25 @@ def test_cachesweep_engines_print_identical_rankings(capsys):
     assert strip(batch_out) == strip(reference_out)
 
 
+def test_cachesweep_trace_splits_the_replay_from_the_iss_run(tmp_path,
+                                                             capsys):
+    from repro.obs import load_trace
+
+    path = tmp_path / "cachesweep.json"
+    assert main(["cachesweep", "digs", "--top", "1",
+                 "--trace", str(path)]) == 0
+    trace = load_trace(str(path))
+    (sweep,) = trace["root"]["children"]
+    assert sweep["name"] == "cachesweep"
+    assert [span["name"] for span in sweep["children"]] == ["mem.replay"]
+    # One pass over the 281,851-event trace feeds all 12 distinct caches
+    # of the 18-pair default space.
+    counters = trace["counters"]
+    assert counters["mem.batch.replays"] == 1
+    assert counters["mem.batch.caches"] == 12
+    assert counters["mem.batch.events"] == 281_851
+
+
 def test_cachesweep_without_memory_system_fails_cleanly(capsys):
     # ckey models no caches (model_caches=False): no trace to sweep.
     assert main(["cachesweep", "ckey"]) == 1

@@ -4,9 +4,12 @@ Every test drives the same trace through the scalar ``Cache.access``
 loop and the batched kernel (numpy-vectorized and pure-Python chunked
 fallback) and requires **bit-identical** results: every independently
 counted :class:`CacheStats` field, the derived stall/memory-traffic
-numbers, and the final MRU tag-store state (``set_contents()``).
+numbers, and the final MRU tag-store state (``set_contents()``).  The
+one-pass geometry sweep (``replay_sweep``, behind ``profile_configs``)
+is held to the same contract against a per-pair reference replay.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -16,9 +19,16 @@ from repro.mem.cache_batch import (
     BatchCache,
     DEFAULT_CHUNK_EVENTS,
     replay_batch,
+    replay_sweep,
 )
 from repro.mem import cache_batch
-from repro.mem.profiler import MEM_ENGINES, profile_configs, replay
+from repro.mem.explore import default_search_space, explore_cache_profiles
+from repro.mem.profiler import (
+    MEM_ENGINES,
+    CacheProfile,
+    profile_configs,
+    replay,
+)
 from repro.mem.trace import Access, MemoryTrace
 from repro.obs import Tracer, use_tracer
 
@@ -38,6 +48,21 @@ GEOMETRIES = [
 ]
 
 
+#: Sweep spaces beyond the default one: repeated pairs, pairs sharing
+#: only their i-cache or only their d-cache, and one geometry serving as
+#: both the i-cache and the d-cache (the streams must stay separate).
+SPACES = {
+    "default": default_search_space(),
+    "repeated": [GEOMETRIES[0], GEOMETRIES[1], GEOMETRIES[0],
+                 GEOMETRIES[2], GEOMETRIES[0]],
+    "shared-i": [(GEOMETRIES[0][0], dcfg) for _, dcfg in GEOMETRIES],
+    "shared-d": [(icfg, GEOMETRIES[0][1]) for icfg, _ in GEOMETRIES],
+    "crossed": [(GEOMETRIES[0][0], GEOMETRIES[0][0]),
+                (GEOMETRIES[0][1], GEOMETRIES[0][0]),
+                (GEOMETRIES[0][0], GEOMETRIES[0][1])],
+}
+
+
 def scalar_replay(trace, icfg, dcfg):
     """The reference model: one Cache.access per event."""
     icache, dcache = Cache(icfg, "icache"), Cache(dcfg, "dcache")
@@ -54,6 +79,34 @@ def scalar_replay(trace, icfg, dcfg):
 def assert_identical(reference, batched):
     assert batched.snapshot() == reference.snapshot()
     assert batched.set_contents() == reference.set_contents()
+
+
+def assert_profiles_identical(got, want):
+    """Field for field: configs, both caches (counters and tag store),
+    stalls and memory traffic."""
+    assert len(got) == len(want)
+    for got_profile, want_profile in zip(got, want):
+        for field in dataclasses.fields(CacheProfile):
+            value = getattr(got_profile, field.name)
+            expected = getattr(want_profile, field.name)
+            if isinstance(expected, Cache):
+                assert_identical(expected, value)
+            else:
+                assert value == expected, field.name
+
+
+def reference_profiles(trace, space):
+    """The oracle: an independent scalar replay per pair."""
+    return [replay(trace, icfg, dcfg, engine="reference")
+            for icfg, dcfg in space]
+
+
+def sweep_profiles(trace, space, vectorized, monkeypatch):
+    """``profile_configs`` on the batched engine, forced onto the
+    pure-Python fallback when ``vectorized`` is False."""
+    if not vectorized:
+        monkeypatch.setattr(cache_batch, "_np", None)
+    return profile_configs(trace, space, engine="batch")
 
 
 def fuzz_trace(seed, count, kinds=(Access.IFETCH,) * 4 + (Access.READ,) * 2
@@ -94,6 +147,72 @@ def test_fuzz_traces_bit_identical(geometry, vectorized):
                                           vectorized=vectorized)
             assert_identical(ref_i, icache)
             assert_identical(ref_d, dcache)
+
+
+@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_sweep_bit_identical_to_per_pair_reference(space, vectorized,
+                                                   monkeypatch):
+    """One pass over the whole space equals a reference replay per pair,
+    at every chunk size, with each distinct cache replayed once."""
+    pairs = SPACES[space]
+    # Chunks of 1 cost one numpy call per event per cache: short trace.
+    for seed, count, chunks in ((0, 600, (1, 7, DEFAULT_CHUNK_EVENTS)),
+                                (1, 3000, (7, DEFAULT_CHUNK_EVENTS))):
+        trace = fuzz_trace(seed, count)
+        want = reference_profiles(trace, pairs)
+        for chunk in chunks:
+            tracer = Tracer()
+            with use_tracer(tracer):
+                caches = replay_sweep(trace, pairs, chunk_events=chunk,
+                                      vectorized=vectorized)
+            assert len(caches) == len(pairs)
+            for (icache, dcache), profile in zip(caches, want):
+                assert_identical(profile.icache, icache)
+                assert_identical(profile.dcache, dcache)
+            distinct = (len({icfg for icfg, _ in pairs})
+                        + len({dcfg for _, dcfg in pairs}))
+            assert tracer.counters["mem.batch.caches"] == distinct
+            assert tracer.counters["mem.batch.replays"] == 1
+            assert tracer.counters["mem.batch.events"] == count
+        assert_profiles_identical(
+            sweep_profiles(trace, pairs, vectorized, monkeypatch), want)
+
+
+@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("space", ["repeated", "shared-i", "crossed"])
+def test_sweep_profiles_share_no_cache(space, vectorized, monkeypatch):
+    """Accessing one profile's caches leaves every other profile with the
+    same geometry unchanged: each profile owns its Cache objects."""
+    trace = fuzz_trace(4, 800)
+    profiles = sweep_profiles(trace, SPACES[space], vectorized, monkeypatch)
+    caches = [cache for p in profiles for cache in (p.icache, p.dcache)]
+    assert len({id(cache) for cache in caches}) == len(caches)
+    before = [(c.snapshot(), c.set_contents()) for c in caches]
+    touched = profiles[0]
+    for address in range(0, 1 << 16, 0x40):  # misses and fills galore
+        touched.icache.access(address)
+        touched.dcache.access(address)
+    for cache, (stats, contents) in zip(caches, before):
+        if cache is touched.icache or cache is touched.dcache:
+            assert (cache.snapshot(), cache.set_contents()) != (stats,
+                                                                contents)
+        else:
+            assert cache.snapshot() == stats
+            assert cache.set_contents() == contents
+
+
+@pytest.mark.parametrize("vectorized", ENGINES)
+def test_empty_space(vectorized, monkeypatch):
+    trace = fuzz_trace(2, 50)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert replay_sweep(trace, [], vectorized=vectorized) == []
+        for engine in MEM_ENGINES:
+            assert profile_configs(trace, [], engine=engine) == []
+            assert explore_cache_profiles(trace, space=[],
+                                          engine=engine) == []
+    assert not any(name.startswith("mem.batch") for name in tracer.counters)
 
 
 @pytest.mark.parametrize("vectorized", ENGINES)
@@ -180,18 +299,48 @@ def test_golden_digs_trace_bit_identical(digs_trace):
         assert_identical(reference.dcache, dcache)
 
 
+@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("app_name", ["3d", "digs"])
+def test_golden_traces_default_space_bit_identical(app_name, vectorized,
+                                                   golden_traces,
+                                                   golden_references,
+                                                   monkeypatch):
+    """A real application's trace, swept over the default space in one
+    pass, equals a reference replay per pair field for field."""
+    assert_profiles_identical(
+        sweep_profiles(golden_traces[app_name], SPACES["default"],
+                       vectorized, monkeypatch),
+        golden_references[app_name])
+
+
 @pytest.fixture(scope="module")
-def digs_trace():
+def golden_traces():
     from repro.apps import app_by_name
     from repro.isa.image import link_program
     from repro.power.system import evaluate_initial
     from repro.tech.library import cmos6_library
 
-    app = app_by_name("digs")
-    run = evaluate_initial(link_program(app.compile()), cmos6_library(),
-                           args=app.args, globals_init=app.globals_init,
-                           collect_trace=True)
-    return run.stats.trace
+    traces = {}
+    for name in ("3d", "digs"):
+        app = app_by_name(name)
+        run = evaluate_initial(link_program(app.compile()), cmos6_library(),
+                               args=app.args, globals_init=app.globals_init,
+                               collect_trace=True)
+        traces[name] = run.stats.trace
+    return traces
+
+
+@pytest.fixture(scope="module")
+def digs_trace(golden_traces):
+    return golden_traces["digs"]
+
+
+@pytest.fixture(scope="module")
+def golden_references(golden_traces):
+    """Per-pair reference profiles over the default space, computed once
+    for the numpy and fallback cases."""
+    return {name: reference_profiles(trace, SPACES["default"])
+            for name, trace in golden_traces.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +367,13 @@ def test_replay_rejects_unknown_engine():
     assert MEM_ENGINES == ("auto", "batch", "reference")
 
 
+def test_unknown_engine_rejected_even_for_an_empty_space():
+    with pytest.raises(ValueError, match="unknown engine"):
+        profile_configs(MemoryTrace(), [], engine="bogus")
+    with pytest.raises(ValueError, match="unknown engine"):
+        explore_cache_profiles(MemoryTrace(), space=[], engine="bogus")
+
+
 def test_profile_configs_engine_passthrough():
     trace = fuzz_trace(9, 800)
     space = GEOMETRIES[:2]
@@ -230,8 +386,6 @@ def test_profile_configs_engine_passthrough():
 
 
 def test_explore_cache_profiles_sweep():
-    from repro.mem.explore import default_search_space, explore_cache_profiles
-
     trace = fuzz_trace(11, 500)
     profiles = explore_cache_profiles(trace)
     assert len(profiles) == len(default_search_space())
@@ -257,9 +411,30 @@ def test_counters_emitted():
     with use_tracer(tracer):
         replay_batch(trace, *GEOMETRIES[0], chunk_events=30)
     assert tracer.counters["mem.batch.replays"] == 1
+    assert tracer.counters["mem.batch.caches"] == 2
     assert tracer.counters["mem.batch.chunks"] == 4
     assert tracer.counters["mem.batch.events"] == 100
     assert "mem.batch.fallback" not in tracer.counters or not HAVE_NUMPY
+
+
+@pytest.mark.parametrize("engine", MEM_ENGINES)
+def test_sweep_counters_and_span(engine):
+    """Counters are per sweep: the default space's 18 pairs are one
+    replay of 12 distinct caches over the trace, timed by one mem.replay
+    span; the reference engine replays per pair and counts nothing."""
+    tracer = Tracer()
+    trace = fuzz_trace(5, 100)
+    with use_tracer(tracer):
+        explore_cache_profiles(trace, engine=engine)
+    span = tracer.root.children["mem.replay"]
+    assert span.calls == 1 and not span.children
+    counters = {name: count for name, count in tracer.counters.items()
+                if name != "mem.batch.fallback"}
+    if engine == "reference":
+        assert counters == {}
+    else:
+        assert counters == {"mem.batch.replays": 1, "mem.batch.caches": 12,
+                            "mem.batch.chunks": 1, "mem.batch.events": 100}
 
 
 def test_fallback_counter_and_no_numpy_path(monkeypatch):
