@@ -120,25 +120,40 @@ class BenchSpec:
     disable_gc: bool = False
 
 
-def _bench_iss_engine(engine: str):
-    """Bare SL32 ISS throughput (no caches, no trace): instructions/sec.
+def _bench_iss_engine(engine: str, memory_system: bool = False):
+    """SL32 ISS throughput on ``digs``: instructions/sec.
 
-    ``engine="auto"`` measures the default compiled-block engine including
-    its one-time per-instance compilation; ``engine="reference"`` pins the
-    original interpreter so every report shows the engines' ratio.
+    ``engine="auto"`` measures the default compiled-block engine —
+    its one-time per-instance compilation, the execution and the pricing
+    of the record; ``engine="reference"`` pins the original interpreter
+    so every report shows the engines' ratio.  Without
+    ``memory_system`` the core runs bare (no caches, no trace); with it
+    the default i-/d-cache, main memory and bus are attached.
     """
     def make(ctx: BenchContext):
+        import repro.isa.pricing  # noqa: F401 - numpy import in set-up
         from repro.apps import app_by_name
         from repro.isa.image import link_program
         from repro.isa.simulator import Simulator
+        from repro.mem.bus import SharedBus
+        from repro.mem.cache import Cache
+        from repro.mem.main_memory import MainMemory
+        from repro.power.system import default_cache_configs
         from repro.tech import cmos6_library
 
         app = app_by_name("digs")
         image = link_program(app.compile())
         library = cmos6_library()
+        icfg, dcfg = default_cache_configs()
 
         def run_once():
-            sim = Simulator(image, library, engine=engine)
+            mem = {}
+            if memory_system:
+                mem = {"icache": Cache(icfg, "icache"),
+                       "dcache": Cache(dcfg, "dcache"),
+                       "memory_model": MainMemory(library),
+                       "bus": SharedBus(library)}
+            sim = Simulator(image, library, engine=engine, **mem)
             for name, values in app.globals_init.items():
                 sim.set_global(name, values)
             start = time.perf_counter()
@@ -232,8 +247,8 @@ def _bench_cache_batch(ctx: BenchContext):
     """Batched trace-replay kernel (``engine="batch"``) on the digs
     trace: trace events/sec.  The micro.profiler.replay entry measures
     the profiler's default path; this one pins the batched kernel
-    directly so a fallback regression (e.g. numpy silently absent)
-    shows up even if the default path is rerouted."""
+    directly so a kernel regression shows up even if the default path
+    is rerouted."""
     from repro.mem.cache_batch import replay_batch
     from repro.power.system import default_cache_configs
 
@@ -347,9 +362,16 @@ def _specs() -> List[BenchSpec]:
     from repro.apps import ALL_APPS
     specs = [
         BenchSpec("micro.iss", "ops/s", True,
-                  "every candidate evaluation re-runs the SL32 ISS; its "
-                  "dispatch loop is the single hottest path",
+                  "every flow executes each application once on the SL32 "
+                  "ISS; its compiled dispatch loop plus the pricing of "
+                  "the record, on the bare core",
                   _bench_iss_engine("auto"), disable_gc=True),
+        BenchSpec("micro.iss.system", "ops/s", True,
+                  "the flow's ISS run: one cache-free execution priced "
+                  "into the default memory system; a return to inline "
+                  "cache calls reads as a several-fold drop",
+                  _bench_iss_engine("auto", memory_system=True),
+                  disable_gc=True),
         BenchSpec("micro.iss.reference", "ops/s", True,
                   "the reference interpreter the compiled engine is "
                   "checked against; the micro.iss ratio is the engine "
@@ -369,9 +391,9 @@ def _specs() -> List[BenchSpec]:
                   "is what keeps the sweep cheap",
                   _bench_profiler_sweep, disable_gc=True),
         BenchSpec("micro.cache_batch", "ops/s", True,
-                  "the chunked kernel behind profiler engine=batch; "
-                  "pinned directly so a silent fallback (no numpy) "
-                  "reads as a regression here, not a mystery elsewhere",
+                  "the chunked kernel behind profiler engine=batch and "
+                  "the ISS's pricing; pinned directly so a kernel "
+                  "regression reads here, not as a mystery elsewhere",
                   _bench_cache_batch, disable_gc=True),
         BenchSpec("micro.gatesim", "ops/s", True,
                   "Fig. 1 line 15 re-estimates gate-level energy per "

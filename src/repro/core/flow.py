@@ -270,7 +270,7 @@ class LowPowerFlow:
                 args=app.args, globals_init=app.globals_init,
                 icache_cfg=app.icache, dcache_cfg=app.dcache,
                 model_caches=app.model_caches,
-                collect_trace=self.collect_traces)
+                collect_trace=self.collect_traces, record=front.record)
 
         result.accepted = (result.partitioned.total_energy_nj
                            < initial.total_energy_nj)

@@ -259,7 +259,7 @@ class IterativePartitioner:
                                     for c in trial_committed),
                 args=app.args, globals_init=app.globals_init,
                 icache_cfg=app.icache, dcache_cfg=app.dcache,
-                model_caches=app.model_caches)
+                model_caches=app.model_caches, record=front.record)
 
             gain = 1.0 - system.total_energy_nj / current_energy
             if gain < self.min_improvement:

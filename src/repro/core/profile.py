@@ -44,6 +44,7 @@ from repro.tech.library import TechnologyLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.flow import AppSpec
+    from repro.isa.simcompile import ExecutionRecord
 
 
 class ProfileError(Exception):
@@ -191,6 +192,8 @@ class ProfiledApp:
     image: ProgramImage
     initial: SystemRun
     profile: ExecutionProfile
+    #: The ``flow.initial`` execution, for pricing partitioned designs.
+    record: Optional["ExecutionRecord"] = None
 
 
 def profile_app(app: "AppSpec", library: TechnologyLibrary,
@@ -201,20 +204,26 @@ def profile_app(app: "AppSpec", library: TechnologyLibrary,
     The workload binding is checked first with the interpreter's own
     checks (:func:`~repro.lang.interp.check_workload`), so a bad binding
     fails with the same message it always did.  Spans: ``flow.compile``,
-    ``flow.initial`` (link + ISS + caches), ``flow.profile`` (the
-    derivation).
+    ``flow.initial`` (link, then the ISS's ``isa.execute`` and
+    ``isa.price``), ``flow.profile`` (the derivation).  The execution
+    record is kept so the partitioned design is priced, not run again.
     """
+    from repro.isa.simcompile import ExecutionRecord
+
     tracer = tracer or NullTracer()
     with tracer.span("flow.compile"):
         program = app.compile()
     check_workload(program, app.args, app.globals_init)
+    record = ExecutionRecord()
     with tracer.span("flow.initial"):
         image = link_program(program)
         initial = evaluate_initial(
             image, library, args=app.args, globals_init=app.globals_init,
             icache_cfg=app.icache, dcache_cfg=app.dcache,
-            model_caches=app.model_caches, collect_trace=collect_trace)
+            model_caches=app.model_caches, collect_trace=collect_trace,
+            record=record)
     with tracer.span("flow.profile"):
         profile = profile_from_sim(program, image, initial.sim)
     return ProfiledApp(program=program, image=image, initial=initial,
-                       profile=profile)
+                       profile=profile,
+                       record=record if record.complete else None)

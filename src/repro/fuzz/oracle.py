@@ -1,4 +1,4 @@
-"""The differential oracle stack: five checks, one verdict.
+"""The differential oracle stack: six checks, one verdict.
 
 For one :class:`~repro.fuzz.generator.FuzzProgram` the stack runs:
 
@@ -14,7 +14,13 @@ For one :class:`~repro.fuzz.generator.FuzzProgram` the stack runs:
    on the compiled engine's run) — checked against the interpreter's
    :class:`~repro.lang.ExecutionProfile` field for field, since the flow
    takes ``#ex_times`` from the ISS run;
-5. periodically, the **full partitioning flow** under the
+5. the **priced record** — the compiled engine's execution record,
+   priced under a partition derived from the program (every other block
+   label in hardware, :func:`derived_partition`), checked against a
+   hardware-shadow run of the reference engine on the same observables
+   as stage 3; the compiled engine executing under that partition must
+   record the same trace;
+6. periodically, the **full partitioning flow** under the
    :mod:`repro.verify` invariant audit (``LowPowerFlow(verify=True,
    collect_traces=True)``) — results must match the interpreter, the
    partitioned system must be functionally identical, and the audit must
@@ -38,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.profile import ProfileError, profile_from_sim
 from repro.isa.image import ProgramImage, link_program
 from repro.isa.instructions import Opcode
+from repro.isa.simcompile import ExecutionRecord
 from repro.isa.simulator import SimError, Simulator
 from repro.lang import InterpError, Interpreter, compile_source
 from repro.lang.program import Program
@@ -157,6 +164,11 @@ def _bump_main_label_count(image: ProgramImage, counts: List[int]) -> None:
     counts[pc] += 1
 
 
+def _hw_blocks_set_class(sim: Simulator) -> None:
+    """Pricing bug: hardware blocks update the previous class."""
+    sim._class_chain = lambda hw_blocks: hw_blocks | ~hw_blocks
+
+
 class _ShrMask15Interpreter(Interpreter):
     """Interpreter bug: logical shifts mask the amount to 4 bits."""
 
@@ -210,8 +222,20 @@ KNOWN_BUGS: Dict[str, InjectedBug] = {
             description="the ISS-derived profile reads one too many "
                         "executions at main's first block label",
             mutate_counts=_bump_main_label_count),
+        InjectedBug(
+            name="price-hw-class",
+            description="pricing a record lets hardware blocks update the "
+                        "previous instruction class",
+            mutate_iss=_hw_blocks_set_class,
+            engines=("compiled",)),
     )
 }
+
+
+def derived_partition(image: ProgramImage) -> set:
+    """The pricing stage's partition: every other block label of the
+    image (in sorted order, starting with the second) in hardware."""
+    return set(sorted(set(image.attribution))[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +291,13 @@ class OracleStack:
         return cls(program, max_steps=self.config.max_interp_steps)
 
     def _simulator(self, image, engine: str, mem: _MemorySystem,
-                   trace: Optional[MemoryTrace]) -> Simulator:
+                   trace: Optional[MemoryTrace],
+                   hw_blocks: Optional[set] = None) -> Simulator:
         sim = Simulator(image, self.library,
                         icache=mem.icache, dcache=mem.dcache,
                         memory_model=mem.memory, bus=mem.bus,
                         max_instructions=self.config.max_instructions,
-                        trace=trace, engine=engine)
+                        hw_blocks=hw_blocks, trace=trace, engine=engine)
         if (self._bug is not None and self._bug.mutate_iss is not None
                 and engine in self._bug.engines):
             self._bug.mutate_iss(sim)
@@ -318,6 +343,7 @@ class OracleStack:
         image = link_program(program)
         want_trace = True
         engine_runs: Dict[str, Tuple] = {}
+        record = ExecutionRecord()
         for engine in ("reference", "compiled"):
             mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
             trace = MemoryTrace() if want_trace else None
@@ -325,7 +351,9 @@ class OracleStack:
             for name, values in fuzz_program.globals_init.items():
                 sim.set_global(name, values)
             try:
-                sim_result = sim.run(*fuzz_program.args)
+                sim_result = sim.run(
+                    *fuzz_program.args,
+                    record=record if engine == "compiled" else None)
             except SimError as exc:
                 outcome.status = "mismatch"
                 outcome.mismatches.append(Mismatch(
@@ -353,8 +381,11 @@ class OracleStack:
                               engine_runs["compiled"])
         self._compare_profiles(outcome, program, image, interp.profile,
                                engine_runs["compiled"][0])
+        if record.complete:
+            self._check_priced_record(outcome, fuzz_program, image, record,
+                                      geometry, want_trace)
 
-        # 5. Full flow + invariant audit (periodic; expensive).
+        # 6. Full flow + invariant audit (periodic; expensive).
         if self.config.run_flow and not outcome.mismatches:
             self._check_flow(fuzz_program, outcome, geometry, interp_result)
 
@@ -462,6 +493,61 @@ class OracleStack:
         outcome.mismatches.append(Mismatch(
             kind="profile.iss", parties="interp vs iss-profile",
             detail=detail))
+
+    def _check_priced_record(self, outcome: OracleOutcome, fuzz_program,
+                             image: ProgramImage, record: ExecutionRecord,
+                             geometry: str, want_trace: bool) -> None:
+        """The record priced under a derived partition must equal a
+        hardware-shadow run of the reference engine (stage 5)."""
+        hw_blocks = derived_partition(image)
+        runs: Dict[str, Tuple] = {}
+        # The reference runs the partitioned design; the compiled engine
+        # executes it too only to record the partitioned trace.
+        for engine in ("reference", "compiled") if want_trace \
+                else ("reference",):
+            mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
+            trace = MemoryTrace() if want_trace else None
+            sim = self._simulator(image, engine, mem, trace, hw_blocks)
+            for name, values in fuzz_program.globals_init.items():
+                sim.set_global(name, values)
+            try:
+                result = sim.run(*fuzz_program.args)
+            except SimError as exc:
+                outcome.mismatches.append(Mismatch(
+                    kind="price.fault",
+                    parties=f"iss-{engine} (partitioned)",
+                    detail=f"the hardware-shadow run faulted: {exc}"))
+                return
+            runs[engine] = (result, mem.counters(),
+                            trace.events if trace else None)
+        mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
+        priced = self._simulator(image, "compiled", mem, None,
+                                 hw_blocks).price(record)
+        reference, ref_counters, ref_trace = runs["reference"]
+        for fname in _ENGINE_FIELDS:
+            ref_value = getattr(reference, fname)
+            value = getattr(priced, fname)
+            if ref_value != value:
+                detail = f"{fname}: reference={ref_value!r} priced={value!r}"
+                outcome.mismatches.append(Mismatch(
+                    kind=f"price.counter:{fname}",
+                    parties="iss-reference vs priced record",
+                    detail=detail if len(detail) <= 300
+                    else detail[:297] + "..."))
+        counters = mem.counters()
+        if counters != ref_counters:
+            diff = sorted(key for key in set(ref_counters) | set(counters)
+                          if ref_counters.get(key) != counters.get(key))
+            outcome.mismatches.append(Mismatch(
+                kind="price.cache", parties="iss-reference vs priced record",
+                detail=f"memory-system counters differ: {', '.join(diff)}"))
+        if want_trace and runs["compiled"][2] != ref_trace:
+            com_trace = runs["compiled"][2]
+            outcome.mismatches.append(Mismatch(
+                kind="price.trace",
+                parties="iss-reference vs iss-compiled (partitioned)",
+                detail=f"partitioned traces differ (lengths "
+                       f"{len(ref_trace)}/{len(com_trace)})"))
 
     def _check_flow(self, fuzz_program, outcome: OracleOutcome,
                     geometry: str, interp_result: int) -> None:

@@ -1,4 +1,4 @@
-"""Per-image compilation of SL32 programs into Python basic-block closures.
+"""Per-image compilation of SL32 programs into a cache-free recorder.
 
 This is the fetch/decode memoisation layer behind the fast path of
 :class:`repro.isa.simulator.Simulator`.  The reference interpreter decodes
@@ -9,52 +9,59 @@ dispatches over a few hundred *static* instructions — so we decode each
 static instruction exactly once per image instead:
 
 * the program is split into basic blocks (leaders = entry pc, pc 0,
-  branch/call targets, fall-throughs of control transfers, and
-  hardware/software attribution boundaries);
+  branch/call targets, fall-throughs of control transfers, and every
+  ``image.attribution`` boundary, so any hardware-block set is a union
+  of whole blocks);
 * each block is translated to one specialised Python function with the
-  operands, immediates, energy constants, and cache/bus hooks baked in as
-  literals and pre-bound locals (``exec`` of generated source — the
-  "precomputed dispatch table" is simply ``funcs[pc]``);
+  operands and immediates baked in as literals (``exec`` of generated
+  source — the "precomputed dispatch table" is simply ``funcs[pc]``);
 * a tiny driver loop then jumps block to block: ``pc = funcs[pc](regs)``.
 
-Bit-identical observables
--------------------------
-The generated code preserves the reference model *exactly*, not just
-approximately:
+Record mode
+-----------
+The generated code models no cache, memory, bus or energy: it executes
+the program and writes an :class:`ExecutionRecord` —
 
-* integer counters (cycles, stalls, instruction counts, taken branches)
-  are derived from per-block execution counters by identities that hold
-  exactly over the integers;
-* float accumulation keeps the reference model's per-slot event order —
-  per-instruction cache-miss and class-transition energies are emitted as
-  the same sequence of ``extra_nj[pc] += constant`` additions, never
-  algebraically combined, so IEEE-754 rounding is identical;
-* straight-line fetches that share an icache line are batched through
-  :meth:`repro.mem.cache.Cache.fetch_run` — one call per same-line run
-  instead of one per instruction — which is provably equivalent (the
-  first access of the run makes the line MRU; the remaining accesses of
-  the same block iteration can only hit way 0);
-* memory-trace events are recorded in the reference event order, with
-  runs of static fetch events pre-built as constant tuples
-  (:meth:`repro.mem.trace.MemoryTrace.record_batch` semantics).
+* each block appends its index to the block sequence ``bseq``;
+* each ``LW``/``SW`` appends its byte address to ``daddrs``;
+* each taken conditional branch bumps ``taken[pc]``.
+
+Everything the paper's Fig. 5 flow charges for — cycles, instruction
+energies, class transitions, i- and d-cache misses, memory and bus
+traffic — is a function of that record, the static program and the
+hardware/software partition, so one execution prices any
+(partition, cache geometry) pair after the fact
+(:meth:`repro.isa.simulator.Simulator.price`, :mod:`repro.isa.pricing`).
+The only side channel kept inline is the optional memory-reference
+trace (``collect_trace`` consumers and ``repro verify``), recorded in the
+reference event order with runs of static fetch events pre-built as
+constant tuples, and without the events of this simulator's hardware
+blocks.
 
 Jumps into the middle of a block (e.g. a ``RET`` through a hand-crafted
-``r31``) cannot be ruled out statically, so the driver *deoptimises*: it
-reconstructs the interpreter's state from the block counters and resumes
-in the reference interpreter, which is always correct.
+``r31``) cannot be ruled out statically, so the driver *deoptimises*: the
+simulator prices the record so far into its memory system and resumes in
+the reference interpreter, which is always correct.
 
 ``tests/golden/test_golden_values.py`` pins the end-to-end outputs of all
 bundled apps and ``tests/isa/test_engine_equivalence.py`` cross-checks
-the two engines instruction for instruction; ``repro.verify`` audits the
-cross-layer invariants at runtime.
+the recorder plus pricing against the reference interpreter;
+``repro.verify`` audits the cross-layer invariants at runtime.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.isa.image import CODE_BASE, MEMORY_BYTES
-from repro.isa.instructions import Opcode, TAKEN_BRANCH_PENALTY, WORD_BYTES
+from repro.isa.instructions import Opcode, WORD_BYTES
+
+#: Generated lines per compiled unit.  Blocks are compiled in groups of
+#: about this size rather than as one module, which bounds the
+#: compiler's transient memory on large images.
+_UNIT_LINES = 256
 
 #: Control-transfer opcodes: a basic block ends at (and includes) one.
 _CTRL = frozenset((Opcode.BNZ, Opcode.BEZ, Opcode.JMP, Opcode.CALL,
@@ -82,49 +89,58 @@ def _wrap_expr(expr: str) -> str:
     return f"((({expr}) & 4294967295 ^ 2147483648) - 2147483648)"
 
 
-class CompiledProgram:
-    """One image compiled to block closures plus its run-state arrays.
+@dataclass
+class ExecutionRecord:
+    """What one cache-free execution of an image leaves behind.
 
-    The per-run accumulator arrays (``counts``/``extra_cycles``/
-    ``extra_nj``/``bx``/``st``) are captured by the generated closures, so
-    they are allocated once here and reset by slice assignment per run.
-    ``st`` is the scalar state vector:
-    ``[taken_branches, fuel_left, prev_class_id, in_hw, hw_instructions,
-    hw_entries]``.
+    ``bseq`` and ``daddrs`` are int32 arrays (every block index and data
+    address fits), so a record costs 4 bytes per executed block and per
+    data reference.  A record is *complete* once the program halted; one
+    cut short by a fault or a deoptimisation cannot be priced.
     """
 
-    __slots__ = ("funcs", "blocks", "size", "counts", "extra_cycles",
-                 "extra_nj", "bx", "st", "nop_cid", "class_names",
-                 "key_ids", "key_refs", "source", "zero_i", "zero_f",
-                 "zero_b")
+    #: The image executed; a record prices only that image.
+    image: Any = None
+    #: ``(start, end)`` pc range of every basic block, by block index.
+    blocks: List[Tuple[int, int]] = field(default_factory=list)
+    #: Block index of every executed block, in execution order.
+    bseq: array = field(default_factory=lambda: array("i"))
+    #: Byte address of every executed ``LW``/``SW``, in execution order.
+    daddrs: array = field(default_factory=lambda: array("i"))
+    #: Taken conditional branches per pc.
+    taken: List[int] = field(default_factory=list)
+    #: ``r1`` at ``HALT``.
+    result: int = 0
+    complete: bool = False
+
+
+class CompiledProgram:
+    """One image compiled to block closures.
+
+    ``bind(bseq_append, daddr_append, taken)`` points every closure at a
+    fresh record before a run; ``st`` holds the fuel left.
+    """
+
+    __slots__ = ("funcs", "blocks", "size", "st", "bind", "key_ids",
+                 "key_refs", "source")
 
     def __init__(self, funcs: List[Optional[Callable]],
-                 blocks: List[Tuple[int, int, int, bool]], size: int,
-                 counts: List[int], extra_cycles: List[int],
-                 extra_nj: List[float], bx: List[int], st: List[int],
-                 nop_cid: int, class_names: List[str],
-                 key_ids: tuple, key_refs: tuple, source: str) -> None:
+                 blocks: List[Tuple[int, int]], size: int, st: List[int],
+                 bind: Callable, key_ids: tuple, key_refs: tuple,
+                 source: str) -> None:
         self.funcs = funcs
         self.blocks = blocks
         self.size = size
-        self.counts = counts
-        self.extra_cycles = extra_cycles
-        self.extra_nj = extra_nj
-        self.bx = bx
         self.st = st
-        self.nop_cid = nop_cid
-        self.class_names = class_names
+        self.bind = bind
         self.key_ids = key_ids
         self.key_refs = key_refs
         self.source = source
-        self.zero_i = [0] * size
-        self.zero_f = [0.0] * size
-        self.zero_b = [0] * len(blocks)
 
 
-def _find_blocks(opcode, target_arr, is_hw, entry: int,
-                 size: int) -> List[Tuple[int, int, int, bool]]:
-    """Split the image into ``(start, end, index, is_hw)`` basic blocks."""
+def _find_blocks(opcode, target_arr, attribution, entry: int,
+                 size: int) -> List[Tuple[int, int]]:
+    """Split the image into ``(start, end)`` basic blocks."""
     if size == 0:
         return []
     leaders = {0}
@@ -140,7 +156,7 @@ def _find_blocks(opcode, target_arr, is_hw, entry: int,
                 if 0 <= target < size:
                     leaders.add(target)
     for p in range(1, size):
-        if is_hw[p] != is_hw[p - 1]:
+        if attribution[p] != attribution[p - 1]:
             leaders.add(p)
     ordered = sorted(leaders)
     blocks = []
@@ -151,90 +167,46 @@ def _find_blocks(opcode, target_arr, is_hw, entry: int,
             end += 1
             if opcode[end - 1] in _CTRL:
                 break
-        blocks.append((start, end, index, is_hw[start]))
+        blocks.append((start, end))
     return blocks
 
 
 def compile_program(sim) -> CompiledProgram:
-    """Compile ``sim``'s image for its current caches/trace/fuel binding."""
+    """Compile ``sim``'s image for its current trace/fuel binding."""
     from repro.isa.simulator import SimError
 
     opcode = sim._opcode
     rd_arr, rs1_arr, rs2_arr = sim._rd, sim._rs1, sim._rs2
     imm_arr, target_arr = sim._imm, sim._target
-    cls_arr = sim._class
     is_hw = sim._is_hw
     size = len(opcode)
-    entry = sim.image.entry_pc
-    icache, dcache = sim.icache, sim.dcache
-    memory_model, bus = sim.memory_model, sim.bus
     trace = sim.trace
     fuel = sim.max_instructions
-    have_hw = any(is_hw)
-
-    class_names = sorted(set(cls_arr) | {"nop"})
-    cid = {name: index for index, name in enumerate(class_names)}
-
-    overhead = repr(sim.energy_model.overhead_nj("alu", "mul"))
-    stall_nj = sim.energy_model.stall_nj
-    i_pen = icache.config.miss_penalty if icache else 0
-    i_words = icache.config.line_words if icache else 0
-    i_nj = repr(i_pen * stall_nj)
-    i_shift = icache.config.offset_bits if icache else 0
-    d_pen = dcache.config.miss_penalty if dcache else 0
-    d_words = dcache.config.line_words if dcache else 0
-    d_nj = repr(d_pen * stall_nj)
     word_shift = WORD_BYTES.bit_length() - 1
     assert (1 << word_shift) == WORD_BYTES
 
-    blocks = _find_blocks(opcode, target_arr, is_hw, entry, size)
+    blocks = _find_blocks(opcode, target_arr, sim.image.attribution,
+                          sim.image.entry_pc, size)
 
-    body: List[str] = []
-    consts: List[str] = []
+    # Per block: its constant tuples and its function's lines.
+    emitted: List[Tuple[List[str], List[str]]] = []
     tc_counter = [0]
 
     def emit(depth: int, text: str) -> None:
         body.append("    " * depth + text)
 
-    for start, end, bidx, hw in blocks:
-        n = end - start
+    for bidx, (start, end) in enumerate(blocks):
+        body: List[str] = []
+        consts: List[str] = []
+        emitted.append((consts, body))
+        # Hardware-shadow blocks execute and record like any other; they
+        # only stay out of this simulator's μP-side trace.
+        traced = trace is not None and not is_hw[start]
         emit(1, f"def _b{start}(regs):")
-        if hw:
-            # Hardware-shadow block: functional execution only; the ASIC
-            # cost model accounts for this work (paper footnote 2).
-            emit(2, "if st[3] == 0:")
-            emit(3, "st[3] = 1")
-            emit(3, "st[5] += 1")
-            emit(2, f"st[4] += {n}")
-        else:
-            if have_hw:
-                emit(2, "st[3] = 0")
-            emit(2, f"bx[{bidx}] += 1")
-        emit(2, f"st[1] -= {n}")
-        emit(2, "if st[1] < 0:")
+        emit(2, f"st[0] -= {end - start}")
+        emit(2, "if st[0] < 0:")
         emit(3, f'raise SimError("fuel exhausted after {fuel} instructions")')
-
-        if not hw and icache is not None:
-            # Fetch the block's icache lines: each same-line run of
-            # consecutive fetches collapses into a single fetch_run call
-            # (the batch fetch hand-off — one access plus run-1
-            # guaranteed MRU hits; see Cache.fetch_run).
-            p = start
-            while p < end:
-                address = CODE_BASE + p * WORD_BYTES
-                line = address >> i_shift
-                q = p + 1
-                while (q < end
-                       and (CODE_BASE + q * WORD_BYTES) >> i_shift == line):
-                    q += 1
-                emit(2, f"if not icf({address}, {q - p}):")
-                emit(3, f"extra_cycles[{p}] += {i_pen}")
-                emit(3, f"extra_nj[{p}] += {i_nj}")
-                if memory_model is not None:
-                    emit(3, f"mm_refill({i_words})")
-                if bus is not None:
-                    emit(3, f"bus_read({i_words})")
-                p = q
+        emit(2, f"bs({bidx})")
 
         pending: List[int] = []
 
@@ -250,21 +222,12 @@ def compile_program(sim) -> CompiledProgram:
             emit(2, f"t_ext({name})")
             pending.clear()
 
-        prev_cid: Optional[int] = None
         for p in range(start, end):
             op = opcode[p]
-            if not hw:
-                if trace is not None:
-                    pending.append(CODE_BASE + p * WORD_BYTES)
-                klass = cid[cls_arr[p]]
-                if prev_cid is None:
-                    emit(2, f"if st[2] != {klass}:")
-                    emit(3, f"extra_nj[{p}] += {overhead}")
-                elif klass != prev_cid:
-                    emit(2, f"extra_nj[{p}] += {overhead}")
-                prev_cid = klass
+            if traced:
+                pending.append(CODE_BASE + p * WORD_BYTES)
             if op in _CTRL:
-                continue  # control transfer emitted after the block footer
+                continue  # control transfer emitted after the block body
             dst = f"regs[{rd_arr[p] or 32}]"
             a = f"regs[{rs1_arr[p]}]"
             b = f"regs[{rs2_arr[p]}]"
@@ -285,35 +248,20 @@ def compile_program(sim) -> CompiledProgram:
                 emit(3, 'raise SimError(f"load fault at pc '
                         f'{p}: address {{_a:#x}}")')
                 emit(2, f"{dst} = memory[_a >> {word_shift}]")
-                if not hw:
-                    if trace is not None:
-                        flush_pending()
-                        emit(2, "t_ap((RD, _a))")
-                    if dcache is not None:
-                        emit(2, "if not dc(_a):")
-                        emit(3, f"extra_cycles[{p}] += {d_pen}")
-                        emit(3, f"extra_nj[{p}] += {d_nj}")
-                        if memory_model is not None:
-                            emit(3, f"mm_refill({d_words})")
-                        if bus is not None:
-                            emit(3, f"bus_read({d_words})")
+                emit(2, "da(_a)")
+                if traced:
+                    flush_pending()
+                    emit(2, "t_ap((RD, _a))")
             elif op is Opcode.SW:
                 emit(2, f"_a = {a} + ({imm})" if imm else f"_a = {a}")
                 emit(2, f"if _a < 0 or _a >= {MEMORY_BYTES}:")
                 emit(3, 'raise SimError(f"store fault at pc '
                         f'{p}: address {{_a:#x}}")')
                 emit(2, f"memory[_a >> {word_shift}] = {b}")
-                if not hw:
-                    if trace is not None:
-                        flush_pending()
-                        emit(2, "t_ap((WR, _a))")
-                    if dcache is not None:
-                        emit(2, "dc(_a, True)")
-                        # Write-through: the word always reaches memory.
-                        if memory_model is not None:
-                            emit(2, "mm_write()")
-                        if bus is not None:
-                            emit(2, "bus_write(1)")
+                emit(2, "da(_a)")
+                if traced:
+                    flush_pending()
+                    emit(2, "t_ap((WR, _a))")
             elif op is Opcode.NOT:
                 emit(2, f"{dst} = {_wrap_expr(f'~{a}')}")
             elif op is Opcode.NEG:
@@ -342,20 +290,14 @@ def compile_program(sim) -> CompiledProgram:
                 pass
             else:  # pragma: no cover - decode is exhaustive
                 raise ValueError(f"cannot compile {op}")
-
-        if not hw:
-            if trace is not None:
-                flush_pending()
-            emit(2, f"st[2] = {prev_cid}")
+        flush_pending()
 
         last = end - 1
         op = opcode[last]
         if op in (Opcode.BNZ, Opcode.BEZ):
             relation = "!=" if op is Opcode.BNZ else "=="
             emit(2, f"if regs[{rs1_arr[last]}] {relation} 0:")
-            if not hw:
-                emit(3, "st[0] += 1")
-                emit(3, f"extra_cycles[{last}] += {TAKEN_BRANCH_PENALTY}")
+            emit(3, f"tk[{last}] += 1")
             emit(3, f"return {target_arr[last]}")
             emit(2, f"return {end}")
         elif op is Opcode.JMP:
@@ -370,43 +312,52 @@ def compile_program(sim) -> CompiledProgram:
         else:
             emit(2, f"return {end}")
 
-    lines = [
-        "def _build(counts, extra_cycles, extra_nj, bx, st, memory,",
-        "           SimError, icf, dc, mm_refill, mm_write,",
-        "           bus_read, bus_write, t_ext, t_ap, IF, RD, WR):",
-    ]
-    lines.extend("    " + const for const in consts)
-    lines.extend(body)
-    lines.append(f"    funcs = [None] * {size}")
-    lines.extend(f"    funcs[{start}] = _b{start}"
-                 for start, _end, _bidx, _hw in blocks)
-    lines.append("    return funcs")
-    source = "\n".join(lines) + "\n"
+    # Each unit's closures share its own record cells; ``bind`` sets all.
+    units: List[List[int]] = [[]]
+    unit_lines = 0
+    for bidx, (_consts, body) in enumerate(emitted):
+        if units[-1] and unit_lines + len(body) > _UNIT_LINES:
+            units.append([])
+            unit_lines = 0
+        units[-1].append(bidx)
+        unit_lines += len(body)
 
-    namespace: dict = {}
-    exec(compile(source, "<repro-simcompile>", "exec"), namespace)
-
-    counts = [0] * size
-    extra_cycles = [0] * size
-    extra_nj = [0.0] * size
-    bx = [0] * len(blocks)
-    st = [0] * 6
-
+    st = [0]
     from repro.mem.trace import Access
-    funcs = namespace["_build"](
-        counts, extra_cycles, extra_nj, bx, st, sim.memory, SimError,
-        icache.fetch_run if icache is not None else None,
-        dcache.access if dcache is not None else None,
-        memory_model.refill if memory_model is not None else None,
-        memory_model.write_word if memory_model is not None else None,
-        bus.read_words if bus is not None else None,
-        bus.write_words if bus is not None else None,
-        trace.events.extend if trace is not None else None,
-        trace.events.append if trace is not None else None,
-        Access.IFETCH, Access.READ, Access.WRITE)
+    hooks = (st, sim.memory, SimError,
+             trace.events.extend if trace is not None else None,
+             trace.events.append if trace is not None else None,
+             Access.IFETCH, Access.READ, Access.WRITE)
+    funcs: List[Optional[Callable]] = [None] * size
+    binds: List[Callable] = []
+    sources: List[str] = []
+    for unit in units:
+        lines = [
+            "def _build(st, memory, SimError, t_ext, t_ap, IF, RD, WR):",
+            "    bs = da = tk = None",
+            "    def _bind(bseq_append, daddr_append, taken):",
+            "        nonlocal bs, da, tk",
+            "        bs, da, tk = bseq_append, daddr_append, taken",
+        ]
+        for bidx in unit:
+            lines.extend("    " + const for const in emitted[bidx][0])
+            lines.extend(emitted[bidx][1])
+        lines.append("    return {%s}, _bind" % ", ".join(
+            f"{blocks[bidx][0]}: _b{blocks[bidx][0]}" for bidx in unit))
+        source = "\n".join(lines) + "\n"
+        namespace: dict = {}
+        exec(compile(source, "<repro-simcompile>", "exec"), namespace)
+        unit_funcs, bind = namespace["_build"](*hooks)
+        for start, fn in unit_funcs.items():
+            funcs[start] = fn
+        binds.append(bind)
+        sources.append(source)
 
-    key_refs = (icache, dcache, memory_model, bus, trace)
-    key_ids = tuple(id(ref) for ref in key_refs) + (fuel,)
-    return CompiledProgram(funcs, blocks, size, counts, extra_cycles,
-                           extra_nj, bx, st, cid["nop"], class_names,
-                           key_ids, key_refs, source)
+    def bind_all(bseq_append, daddr_append, taken) -> None:
+        for bind in binds:
+            bind(bseq_append, daddr_append, taken)
+
+    key_refs = (trace,)
+    key_ids = (id(trace), fuel)
+    return CompiledProgram(funcs, blocks, size, st, bind_all, key_ids,
+                           key_refs, "".join(sources))

@@ -17,24 +17,29 @@ Execution engines
 Two engines produce **bit-identical** observable results:
 
 * ``engine="reference"`` — the original decode-per-dynamic-instruction
-  interpreter below (:meth:`Simulator._interp_from`).  It is the model of
-  record: simple, obviously faithful to the paper's semantics, and the
-  oracle the fast path is checked against.
-* ``engine="auto"``/``"compiled"`` (default) — the per-image basic-block
-  compiler in :mod:`repro.isa.simcompile`.  Each *static* instruction is
-  decoded once into specialised Python closures (the precomputed dispatch
-  table is ``funcs[pc]``); integer counters are derived from per-block
-  execution counts by exact identities and float energies keep the
-  reference model's per-slot accumulation order, so cycles, energy_nj,
-  per-block attribution, cache counters and trace events match the
-  reference bit for bit.  Jumps into a block interior (only reachable
-  through unusual hand-written images) deoptimise back into the reference
-  interpreter mid-run with full state reconstruction.
+  interpreter below (:meth:`Simulator._interp_from`), which calls
+  :meth:`Cache.access` and charges every counter inline.  It is the
+  model of record: simple, obviously faithful to the paper's semantics,
+  and the oracle the fast path is checked against.
+* ``engine="auto"``/``"compiled"`` (default) — record, then price.  The
+  per-image block compiler in :mod:`repro.isa.simcompile` executes the
+  program with no cache, memory, bus or energy model and keeps an
+  :class:`~repro.isa.simcompile.ExecutionRecord` (the block sequence,
+  the data addresses, the taken branches); :meth:`Simulator.price`
+  (:mod:`repro.isa.pricing`) then charges the record to this simulator's
+  hardware blocks and memory system.  Cycles, energy_nj, per-block
+  attribution, cache counters and trace events match the reference bit
+  for bit.  One record prices any partition and cache geometry of the
+  same image, which is how the flow prices the partitioned design
+  without a second execution.  Jumps into a block interior (only
+  reachable through unusual hand-written images) price the record so
+  far and finish in the reference interpreter.
 
 The equivalence is enforced by ``tests/golden/test_golden_values.py``
 (frozen pre-optimisation outputs of every bundled app) and
 ``tests/isa/test_engine_equivalence.py`` (both engines on the same
-images); ``repro.verify`` audits the cross-layer invariants on real runs.
+images, and records priced under several partitions); ``repro.verify``
+audits the cross-layer invariants on real runs.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from repro.isa.instructions import (
 from repro.mem.bus import SharedBus
 from repro.mem.cache import Cache
 from repro.mem.main_memory import MainMemory
+from repro.obs import get_tracer
 from repro.tech.library import TechnologyLibrary
 
 _MASK32 = 0xFFFFFFFF
@@ -211,30 +217,74 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, *args: int) -> SimResult:
+    def run(self, *args: int, record=None) -> SimResult:
+        """Execute the program from its entry point.
+
+        ``record``: an empty :class:`~repro.isa.simcompile.ExecutionRecord`
+        the compiled engine keeps this execution in, so the same run can
+        be priced again under another partition or memory system
+        (:meth:`price`).
+        """
+        get_tracer().count("isa.executions")
         if self.engine == "reference":
+            if record is not None:
+                raise ValueError("the reference engine keeps no record")
             return self._run_reference(*args)
-        return self._run_compiled(*args)
+        return self._run_compiled(args, record)
+
+    def price(self, record) -> SimResult:
+        """Charge a complete execution record of this image to this
+        simulator's hardware blocks and memory system.
+
+        Nothing executes: the result equals a :meth:`run` of the same
+        workload on this simulator, and the attached caches, memory and
+        bus end as that run would leave them.
+        """
+        if record.image is not self.image:
+            raise ValueError("the record is of another image")
+        if not record.complete:
+            raise ValueError("the record was cut short and cannot be "
+                             "priced")
+        with get_tracer().span("isa.price"):
+            priced = self._price(record)
+        result = self._aggregate(
+            priced.counts, priced.extra_cycles, priced.extra_nj,
+            priced.cycles, priced.stall_cycles, priced.instructions,
+            priced.taken_branches, record.result)
+        result.hw_instructions = priced.hw_instructions
+        result.hw_entries = priced.hw_entries
+        return result
+
+    def _price(self, record):
+        from repro.isa.pricing import price_record
+        return price_record(self, record)
+
+    def _class_chain(self, hw_blocks):
+        """Per block: whether its instructions set the previous class.
+
+        Software blocks do; hardware-shadow blocks leave it alone.
+        """
+        return ~hw_blocks
 
     # -- compiled engine ------------------------------------------------
 
-    def _run_compiled(self, *args: int) -> SimResult:
+    def _run_compiled(self, args, record) -> SimResult:
+        from repro.isa.simcompile import ExecutionRecord, compile_program
+
         prog = self._compiled
-        key = (id(self.icache), id(self.dcache), id(self.memory_model),
-               id(self.bus), id(self.trace), self.max_instructions)
+        key = (id(self.trace), self.max_instructions)
         if prog is None or prog.key_ids != key:
-            from repro.isa.simcompile import compile_program
             prog = compile_program(self)
             self._compiled = prog
-        counts = prog.counts
-        counts[:] = prog.zero_i
-        extra_cycles = prog.extra_cycles
-        extra_cycles[:] = prog.zero_i
-        extra_nj = prog.extra_nj
-        extra_nj[:] = prog.zero_f
-        prog.bx[:] = prog.zero_b
-        st = prog.st
-        st[:] = (0, self.max_instructions, prog.nop_cid, 0, 0, 0)
+        if record is None:
+            record = ExecutionRecord()
+        elif record.bseq or record.complete:
+            raise ValueError("the record already holds an execution")
+        record.image = self.image
+        record.blocks = prog.blocks
+        record.taken = [0] * prog.size
+        prog.bind(record.bseq.append, record.daddrs.append, record.taken)
+        prog.st[0] = self.max_instructions
 
         memory = self.memory
         regs = [0] * 33  # regs[32] is the write sink for rd=0
@@ -247,60 +297,34 @@ class Simulator:
         funcs = prog.funcs
         size = prog.size
         pc = self.image.entry_pc
-        while pc is not None:
-            if 0 <= pc < size:
-                fn = funcs[pc]
-                if fn is not None:
-                    pc = fn(regs)
-                    continue
-                # Jump into a block interior (hand-written r31 games):
-                # reconstruct interpreter state and finish there.
-                return self._deopt_resume(prog, pc, regs)
-            raise SimError(f"pc out of range: {pc}")
+        with get_tracer().span("isa.execute"):
+            while pc is not None:
+                if 0 <= pc < size:
+                    fn = funcs[pc]
+                    if fn is not None:
+                        pc = fn(regs)
+                        continue
+                    break  # a jump into a block interior
+                raise SimError(f"pc out of range: {pc}")
+        if pc is not None:
+            return self._deopt_resume(record, pc, regs)
+        record.result = regs[1]
+        record.complete = True
+        return self.price(record)
 
-        cycles, stall_cycles, instructions = self._reconstruct(prog)
-        result = self._aggregate(counts, extra_cycles, extra_nj, cycles,
-                                 stall_cycles, instructions, st[0], regs[1])
-        result.hw_instructions = st[4]
-        result.hw_entries = st[5]
-        return result
+    def _deopt_resume(self, record, pc: int, regs: List[int]) -> SimResult:
+        """Price the record so far, then finish in the interpreter.
 
-    def _reconstruct(self, prog) -> Tuple[int, int, int]:
-        """Derive the interpreter's scalar counters from block counters.
-
-        Exact integer identities: every instruction of an executed block
-        executes, so per-pc counts equal the block's execution count;
-        ``cycles`` is the dot product with per-pc base cycles plus the
-        taken-branch penalties; ``stall_cycles`` is everything in
-        ``extra_cycles`` that is not a taken-branch penalty.
+        The record stays incomplete: it holds only the compiled prefix.
         """
-        counts = prog.counts
-        bx = prog.bx
-        st = prog.st
-        cyc_arr = self._cycles
-        taken = st[0]
-        cycles = TAKEN_BRANCH_PENALTY * taken
-        sw_executed = 0
-        for start, end, bidx, hw in prog.blocks:
-            if hw:
-                continue
-            count = bx[bidx]
-            if count:
-                sw_executed += count * (end - start)
-                for p in range(start, end):
-                    counts[p] = count
-                    cycles += cyc_arr[p] * count
-        stall_cycles = sum(prog.extra_cycles) - TAKEN_BRANCH_PENALTY * taken
-        return cycles, stall_cycles, sw_executed + st[4]
-
-    def _deopt_resume(self, prog, pc: int, regs: List[int]) -> SimResult:
-        cycles, stall_cycles, instructions = self._reconstruct(prog)
-        st = prog.st
-        return self._interp_from(pc, regs[:32], prog.counts,
-                                 prog.extra_cycles, prog.extra_nj, cycles,
-                                 stall_cycles, instructions, st[0], st[4],
-                                 st[5], bool(st[3]),
-                                 prog.class_names[st[2]])
+        with get_tracer().span("isa.price"):
+            done = self._price(record)
+        return self._interp_from(pc, regs[:32], done.counts,
+                                 done.extra_cycles, done.extra_nj,
+                                 done.cycles, done.stall_cycles,
+                                 done.instructions, done.taken_branches,
+                                 done.hw_instructions, done.hw_entries,
+                                 done.in_hw, done.prev_class)
 
     # -- reference engine -----------------------------------------------
 

@@ -217,50 +217,6 @@ class Cache:
                  if tag is not None]
                 for base in range(0, len(self._tags), assoc)]
 
-    def record_read_hits(self, count: int) -> None:
-        """Record ``count`` guaranteed read hits without a tag lookup.
-
-        Contract: the caller must have just accessed the same line via
-        :meth:`access` (so it is resident and already in the MRU way) with
-        no intervening reference to this cache.  Under that precondition a
-        real :meth:`access` per reference would bump ``reads``/``read_hits``
-        and leave the LRU order untouched — exactly what this does.  The
-        compiled ISS engine (:mod:`repro.isa.simcompile`) uses this to
-        batch the fetches of straight-line code that sits on one line.
-
-        ``count`` must be a non-negative int: a negative or bogus count
-        would silently corrupt the independently-counted
-        ``hits + misses == accesses`` invariant that :mod:`repro.verify`
-        audits (``mem.cache_accounting``).
-        """
-        if not isinstance(count, int) or count < 0:
-            raise ValueError(
-                f"record_read_hits count must be a non-negative int, "
-                f"got {count!r}")
-        self.reads += count
-        self.read_hits += count
-
-    def fetch_run(self, address: int, count: int) -> bool:
-        """One :meth:`access` plus ``count - 1`` guaranteed same-line hits.
-
-        The batch fetch hand-off for straight-line code: ``count``
-        consecutive fetches that all land on the line of ``address``
-        collapse into a single call.  Whether the first fetch hits or
-        misses, it leaves the line resident in the MRU way, so the
-        remaining ``count - 1`` fetches are guaranteed read hits with no
-        LRU movement — exactly ``count`` scalar :meth:`access` calls.
-        Returns the hit/miss outcome of the *first* fetch.
-        """
-        if not isinstance(count, int) or count < 1:
-            raise ValueError(
-                f"fetch_run count must be a positive int, got {count!r}")
-        hit = self.access(address)
-        if count > 1:
-            extra = count - 1
-            self.reads += extra
-            self.read_hits += extra
-        return hit
-
     def snapshot(self) -> CacheStats:
         """Freeze the current counters into a :class:`CacheStats`."""
         return CacheStats(

@@ -14,11 +14,10 @@ Engines
 Mirroring the ISS's compiled/reference split, :func:`replay` takes an
 ``engine`` selector:
 
-* ``"auto"`` (default) and ``"batch"`` run the chunked kernel of
-  :mod:`repro.mem.cache_batch` (numpy-vectorized when numpy is
-  importable, pure-Python chunked fallback otherwise), which walks the
-  trace once for a whole geometry space and replays each distinct
-  i-cache and d-cache geometry once;
+* ``"auto"`` (default) and ``"batch"`` run the chunked numpy kernel of
+  :mod:`repro.mem.cache_batch` (imported at the first replay), which
+  walks the trace once for a whole geometry space and replays each
+  distinct i-cache and d-cache geometry once;
 * ``"reference"`` runs the original one-:meth:`Cache.access`-per-event
   loop, once per pair.
 

@@ -11,8 +11,8 @@ simple dinero-like text format::
 
 Recording is on the simulator's hot path, so next to the one-at-a-time
 :meth:`MemoryTrace.record` there is :meth:`MemoryTrace.record_batch`
-(one ``list.extend`` per basic block — the compiled ISS engine flushes
-its precomputed per-block fetch batches through it) and
+(one ``list.extend`` per run of fetches — the compiled ISS engine
+records its precomputed per-block fetch batches the same way) and
 :meth:`MemoryTrace.counts` tallies kinds in a single C-level
 :class:`collections.Counter` pass.  Both leave the stored event sequence
 byte-identical to per-event recording;
@@ -101,7 +101,11 @@ class MemoryTrace:
 
     @classmethod
     def load(cls, stream: IO[str]) -> "MemoryTrace":
-        """Parse the dinero-like text format (``#`` comments allowed)."""
+        """Parse the dinero-like text format (``#`` comments allowed).
+
+        Addresses must be non-negative, as the ISS guarantees (it faults
+        on a negative one before recording it).
+        """
         trace = cls()
         for line_number, line in enumerate(stream, start=1):
             text = line.split("#", 1)[0].strip()
@@ -109,8 +113,10 @@ class MemoryTrace:
                 continue
             try:
                 kind_char, address_text = text.split()
-                trace.record(_CHAR_KIND[kind_char.lower()],
-                             int(address_text, 0))
+                address = int(address_text, 0)
+                if address < 0:
+                    raise ValueError(f"negative address {address_text}")
+                trace.record(_CHAR_KIND[kind_char.lower()], address)
             except (ValueError, KeyError) as exc:
                 raise ValueError(
                     f"bad trace record on line {line_number}: {line!r}"

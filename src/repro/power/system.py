@@ -3,17 +3,19 @@
 The paper stresses that "all system components are taken into consideration
 to estimate energy savings" because a partition changes the cache access
 pattern (footnote 2).  :func:`evaluate_initial` runs the whole application
-on the μP core with its caches; :func:`evaluate_partitioned` re-runs it with
-the chosen cluster in hardware-shadow mode (see
-:class:`~repro.isa.simulator.Simulator`), adds the ASIC core's energy and
-cycles from the synthesis models, and accounts the shared-memory transfer
-traffic on the bus, the memory and the μP core.
+on the μP core with its caches; :func:`evaluate_partitioned` prices the
+same execution with the chosen cluster in hardware-shadow mode (see
+:class:`~repro.isa.simulator.Simulator`) — from the initial run's
+execution record when it has one, so the application runs on the ISS
+once — adds the ASIC core's energy and cycles from the synthesis models,
+and accounts the shared-memory transfer traffic on the bus, the memory
+and the μP core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.isa.energy import InstructionEnergyModel
 from repro.isa.image import ProgramImage
@@ -26,6 +28,9 @@ from repro.mem.trace import MemoryTrace
 from repro.sched.utilization import ClusterMetrics
 from repro.synth.rtl_sim import AsicRunStats
 from repro.tech.library import TechnologyLibrary
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.isa.simcompile import ExecutionRecord
 
 
 @dataclass
@@ -151,7 +156,9 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
                      icache_cfg: Optional[CacheConfig] = None,
                      dcache_cfg: Optional[CacheConfig] = None,
                      model_caches: bool = True,
-                     collect_trace: bool = False) -> SystemRun:
+                     collect_trace: bool = False,
+                     record: Optional["ExecutionRecord"] = None
+                     ) -> SystemRun:
     """Run the unpartitioned ("I") design and account every core.
 
     With ``model_caches=False`` the memory system is left out entirely —
@@ -160,7 +167,9 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
     ``collect_trace=True`` additionally captures the memory-reference
     trace (Fig. 5's "memory trace" tool) into ``SystemRun.stats`` so
     :mod:`repro.verify` can cross-check cache accesses reference by
-    reference.
+    reference.  ``record``, an empty
+    :class:`~repro.isa.simcompile.ExecutionRecord`, keeps the run's
+    execution for :func:`evaluate_partitioned`.
     """
     if icache_cfg is None or dcache_cfg is None:
         default_i, default_d = default_cache_configs()
@@ -176,7 +185,7 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
                     memory_model=memory, bus=bus, trace=trace)
     for name, values in (globals_init or {}).items():
         sim.set_global(name, values)
-    result = sim.run(*args)
+    result = sim.run(*args, record=record)
     stats = _snapshot_memory_system(icache, dcache, memory, bus, trace)
 
     energy = CoreEnergy(
@@ -216,8 +225,10 @@ def evaluate_partitioned(image: ProgramImage, library: TechnologyLibrary,
                          icache_cfg: Optional[CacheConfig] = None,
                          dcache_cfg: Optional[CacheConfig] = None,
                          model_caches: bool = True,
-                         collect_trace: bool = False) -> SystemRun:
-    """Run the partitioned ("P") design.
+                         collect_trace: bool = False,
+                         record: Optional["ExecutionRecord"] = None
+                         ) -> SystemRun:
+    """Evaluate the partitioned ("P") design.
 
     Args:
         hw_blocks: ``(function, block)`` labels mapped to the ASIC core.
@@ -228,6 +239,10 @@ def evaluate_partitioned(image: ProgramImage, library: TechnologyLibrary,
             detailed resource-level model when absent.
         asic_mem_reads / asic_mem_writes: the ASIC's in-place accesses to
             oversized (non-scratchpad) arrays in shared memory.
+        record: the initial run's execution record (the same workload on
+            the same image, see :func:`evaluate_initial`).  It is priced
+            under ``hw_blocks`` instead of executing the design again,
+            unless ``collect_trace`` asks for the partitioned trace.
     """
     if icache_cfg is None or dcache_cfg is None:
         default_i, default_d = default_cache_configs()
@@ -242,9 +257,12 @@ def evaluate_partitioned(image: ProgramImage, library: TechnologyLibrary,
     sim = Simulator(image, library, icache=icache, dcache=dcache,
                     memory_model=memory, bus=bus, hw_blocks=hw_blocks,
                     trace=trace)
-    for name, values in (globals_init or {}).items():
-        sim.set_global(name, values)
-    result = sim.run(*args)
+    if record is not None and trace is None:
+        result = sim.price(record)
+    else:
+        for name, values in (globals_init or {}).items():
+            sim.set_global(name, values)
+        result = sim.run(*args)
 
     # Shared-memory transfers (Fig. 2a): the μP deposits inputs (bus+mem
     # write), the ASIC downloads them (bus+mem read); symmetrically for

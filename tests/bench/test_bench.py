@@ -239,18 +239,34 @@ def fake_spec(name, values, unit="ops/s", higher_is_better=True):
 class TestSuiteAndReports:
     def test_pinned_suite_names(self):
         names = [s.name for s in iter_specs()]
-        assert names[:8] == [
-            "micro.iss", "micro.iss.reference", "micro.cache",
-            "micro.profiler.replay", "micro.profiler.sweep",
+        assert names[:9] == [
+            "micro.iss", "micro.iss.system", "micro.iss.reference",
+            "micro.cache", "micro.profiler.replay", "micro.profiler.sweep",
             "micro.cache_batch", "micro.gatesim", "micro.checkpoint.journal"]
         from repro.apps import ALL_APPS
         for app in ALL_APPS:
             assert f"e2e.table1.{app}" in names
         assert names[-1] == "e2e.explore"
 
+    def test_every_spec_has_a_baseline_entry(self):
+        import json
+        from pathlib import Path
+
+        from repro.bench import BASELINE_FILENAME
+
+        path = Path(__file__).resolve().parents[2] / BASELINE_FILENAME
+        baseline = json.loads(path.read_text(encoding="utf-8"))
+        missing = [s.name for s in iter_specs()
+                   if s.name not in baseline["results"]]
+        assert missing == [], f"no baseline entry for {missing}"
+        stale = sorted(set(baseline["results"])
+                       - {s.name for s in iter_specs()})
+        assert stale == [], f"baseline entries without a spec: {stale}"
+
     def test_iter_specs_substring_filter(self):
         names = [s.name for s in iter_specs("micro.iss")]
-        assert names == ["micro.iss", "micro.iss.reference"]
+        assert names == ["micro.iss", "micro.iss.system",
+                         "micro.iss.reference"]
         assert iter_specs("no-such-benchmark") == []
 
     def test_run_suite_statistics_odd_repeats(self):

@@ -99,10 +99,13 @@ def test_cachesweep_trace_splits_the_replay_from_the_iss_run(tmp_path,
     trace = load_trace(str(path))
     (sweep,) = trace["root"]["children"]
     assert sweep["name"] == "cachesweep"
-    assert [span["name"] for span in sweep["children"]] == ["mem.replay"]
+    # The ISS run (one execution, then its pricing) and the replay.
+    assert [span["name"] for span in sweep["children"]] == [
+        "isa.execute", "isa.price", "mem.replay"]
     # One pass over the 281,851-event trace feeds all 12 distinct caches
     # of the 18-pair default space.
     counters = trace["counters"]
+    assert counters["isa.executions"] == 1
     assert counters["mem.batch.replays"] == 1
     assert counters["mem.batch.caches"] == 12
     assert counters["mem.batch.events"] == 281_851

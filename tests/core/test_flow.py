@@ -107,3 +107,36 @@ def test_summary_without_partition():
     result = LowPowerFlow().run(app)
     text = result.summary()
     assert "no beneficial partition found" in text
+
+
+def _flow_trace(**flow_options):
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    app = AppSpec(name="mini", source=SRC,
+                  globals_init={"inp": [(7 * i) % 311 for i in range(128)]})
+    result = LowPowerFlow(tracer=tracer, **flow_options).run(app)
+    assert result.partitioned is not None
+    return result, tracer
+
+
+def test_one_flow_executes_the_iss_once(flow_result):
+    """The partitioned design is priced from the initial run's record:
+    one execution, two pricings, bit-identical to a second execution."""
+    from dataclasses import asdict
+
+    result, tracer = _flow_trace()
+    assert tracer.counters["isa.executions"] == 1
+    flow_span = tracer.root.children["flow.run"]
+    initial = flow_span.children["flow.initial"]
+    assert set(initial.children) == {"isa.execute", "isa.price"}
+    partitioned = flow_span.children["flow.partitioned"]
+    assert set(partitioned.children) == {"isa.price"}
+    # The trace-collecting flow executes the partitioned design instead
+    # (its trace drops the hardware blocks' events) — same numbers.
+    traced, tracer = _flow_trace(collect_traces=True)
+    assert tracer.counters["isa.executions"] == 2
+    assert asdict(traced.partitioned.sim) == asdict(result.partitioned.sim)
+    assert asdict(result.partitioned.sim) == asdict(
+        flow_result.partitioned.sim)
+    assert traced.partitioned.energy == result.partitioned.energy

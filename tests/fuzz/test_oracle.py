@@ -95,6 +95,32 @@ def test_profile_label_off_by_one_is_caught_as_profile_mismatch():
     assert "block_counts" in outcome.mismatches[0].detail
 
 
+def test_price_hw_class_is_caught_by_the_pricing_stage():
+    program = ProgramGenerator(seed=0).generate(0)
+    assert OracleStack().check(program, geometry="default").status == "ok"
+    stack = OracleStack(OracleConfig(inject_bug="price-hw-class"))
+    outcome = stack.check(program, geometry="default")
+    assert outcome.failed
+    # Execution and the unpartitioned pricing are untouched: only the
+    # record priced under the derived partition disagrees.
+    assert "price.counter:energy_nj" in outcome.kinds
+    assert all(kind.startswith("price.") for kind in outcome.kinds)
+
+
+def test_derived_partition_is_deterministic_and_proper():
+    from repro.fuzz.oracle import derived_partition
+    from repro.isa.image import link_program
+    from repro.lang import compile_source
+
+    program = ProgramGenerator(seed=0).generate(0)
+    image = link_program(compile_source(program.source, name=program.name))
+    labels = sorted(set(image.attribution))
+    hw_blocks = derived_partition(image)
+    assert hw_blocks == set(labels[1::2])
+    assert hw_blocks and hw_blocks != set(labels)
+    assert ("__stub", "__stub") not in hw_blocks
+
+
 def test_interpreter_fault_requires_iss_fault_agreement():
     faulting = _program(
         "func main(a: int) -> int {\n"

@@ -183,3 +183,62 @@ def test_deopt_result_is_reproducible_on_rerun():
     first = sim.run()
     second = sim.run()
     assert_same_result(first, second)
+
+
+def test_deopt_leaves_an_incomplete_record_that_cannot_be_priced():
+    from repro.isa.simcompile import ExecutionRecord
+
+    code = _deopt_prologue() + [
+        Instruction(Opcode.ADDI, rd=1, rs1=3, imm=7),    # pc 8
+        Instruction(Opcode.HALT),
+    ]
+    image = make_image(code)
+    record = ExecutionRecord()
+    sim = Simulator(image, cmos6_library())
+    assert sim.run(record=record).result == 22
+    assert not record.complete
+    assert len(record.bseq) > 0  # the compiled prefix was recorded
+    with pytest.raises(ValueError, match="cut short"):
+        sim.price(record)
+
+
+@pytest.mark.parametrize("hw_label", ["loop", "tail", "lead"])
+def test_deopt_hands_over_hardware_state(hw_label):
+    """The priced prefix hands the interpreter its in-hardware flag and
+    previous instruction class, whichever side of the deopt is shadowed."""
+    code = _deopt_prologue() + [
+        Instruction(Opcode.LI, rd=4, imm=64),            # pc 8: interior
+        Instruction(Opcode.SW, rs1=4, rs2=3, imm=0),
+        Instruction(Opcode.LW, rd=5, rs1=4, imm=0),
+        Instruction(Opcode.MUL, rd=6, rs1=5, rs2=3),
+        Instruction(Opcode.ADD, rd=1, rs1=5, rs2=3),
+        Instruction(Opcode.HALT),
+    ]
+    attribution = ([("hand", "head")] * 2 + [("hand", "loop")] * 3
+                   + [("hand", "lead")] * 3 + [("hand", "body")] * 3
+                   + [("hand", "tail")] * 3)
+    image = ProgramImage(
+        name="hand", instructions=code, entry_pc=0,
+        function_ranges={"hand": (0, len(code))}, symbol_addresses={},
+        attribution=attribution, frame_sizes={})
+    config = CacheConfig(size_bytes=256, line_bytes=16, associativity=2,
+                         miss_penalty=8)
+    runs = {}
+    for engine in ("compiled", "reference"):
+        library = cmos6_library()
+        trace = MemoryTrace()
+        sim = Simulator(image, library,
+                        icache=Cache(config, "icache"),
+                        dcache=Cache(config, "dcache"),
+                        memory_model=MainMemory(library),
+                        bus=SharedBus(library), trace=trace,
+                        hw_blocks={("hand", hw_label)}, engine=engine)
+        result = sim.run()
+        runs[engine] = (result, trace.events,
+                        sim.icache.snapshot(), sim.icache.set_contents(),
+                        sim.dcache.snapshot(), sim.dcache.set_contents(),
+                        sim.memory_model.word_reads,
+                        sim.memory_model.word_writes)
+    assert runs["compiled"][0].hw_entries == 1
+    assert_same_result(runs["compiled"][0], runs["reference"][0])
+    assert runs["compiled"][1:] == runs["reference"][1:]

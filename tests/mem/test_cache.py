@@ -168,60 +168,3 @@ def test_tag_bits_exact_not_clamped():
     default = CacheConfig()
     assert default.tag_bits == (default.address_bits - default.index_bits
                                 - default.offset_bits)
-
-
-# ---------------------------------------------------------------------------
-# record_read_hits validation (mem.cache_accounting regression)
-# ---------------------------------------------------------------------------
-
-def test_record_read_hits_rejects_bogus_counts():
-    cache = make()
-    cache.access(0x100)
-    before = cache.snapshot()
-    for bad in (-1, -1000, 2.5, "3", None):
-        with pytest.raises(ValueError):
-            cache.record_read_hits(bad)
-    # A rejected count must leave every counter untouched.
-    assert cache.snapshot() == before
-
-
-def test_record_read_hits_preserves_accounting_invariants():
-    # The identities repro.verify audits as mem.cache_accounting must
-    # survive legal batched-hit recording (including the empty batch); a
-    # negative count used to corrupt them silently.
-    cache = make()
-    cache.access(0x100)
-    cache.record_read_hits(0)
-    cache.record_read_hits(3)
-    stats = cache.snapshot()
-    assert stats.read_hits + stats.read_misses == stats.reads
-    assert stats.write_hits + stats.write_misses == stats.writes
-    assert stats.hits + stats.misses == stats.accesses
-    assert stats.fills == stats.read_misses
-    assert 0.0 <= stats.hit_rate <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# fetch_run: the compiled-ISS batch fetch hand-off
-# ---------------------------------------------------------------------------
-
-def test_fetch_run_matches_scalar_fetches():
-    batched, scalar = make(), make()
-    # (first address of the run, fetches in the run) -- all within one
-    # 16-byte line, as the compiled ISS guarantees per emitted run.
-    runs = [(0x100, 4), (0x100, 2), (0x240, 3), (0x1100, 4), (0x100, 1)]
-    for address, count in runs:
-        first = scalar.access(address)
-        for i in range(1, count):
-            assert scalar.access(address + 4 * i)
-        assert batched.fetch_run(address, count) is first
-    assert batched.snapshot() == scalar.snapshot()
-    assert batched.set_contents() == scalar.set_contents()
-
-
-def test_fetch_run_rejects_bad_counts():
-    cache = make()
-    for bad in (0, -3, 1.5, "2"):
-        with pytest.raises(ValueError):
-            cache.fetch_run(0x100, bad)
-    assert cache.accesses == 0

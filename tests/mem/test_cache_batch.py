@@ -1,17 +1,22 @@
 """Differential suite: batched cache kernel vs the scalar reference.
 
 Every test drives the same trace through the scalar ``Cache.access``
-loop and the batched kernel (numpy-vectorized and pure-Python chunked
-fallback) and requires **bit-identical** results: every independently
-counted :class:`CacheStats` field, the derived stall/memory-traffic
-numbers, and the final MRU tag-store state (``set_contents()``).  The
-one-pass geometry sweep (``replay_sweep``, behind ``profile_configs``)
-is held to the same contract against a per-pair reference replay.
+loop and the batched kernel and requires **bit-identical** results:
+every independently counted :class:`CacheStats` field, the derived
+stall/memory-traffic numbers and the final MRU tag-store state
+(``set_contents()``); tests that drive :class:`BatchCache` directly also
+require the stream positions of its read misses.  The ``closed_form``
+axis runs each case twice: with the kernel's default
+dispatch (the closed form takes read-only streams of 1-2-way caches)
+and with the general run loop forced onto every stream.  The one-pass
+geometry sweep (``replay_sweep``, behind ``profile_configs``) is held to
+the same contract against a per-pair reference replay.
 """
 
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.mem.cache import Cache, CacheConfig
@@ -21,7 +26,6 @@ from repro.mem.cache_batch import (
     replay_batch,
     replay_sweep,
 )
-from repro.mem import cache_batch
 from repro.mem.explore import default_search_space, explore_cache_profiles
 from repro.mem.profiler import (
     MEM_ENGINES,
@@ -32,9 +36,7 @@ from repro.mem.profiler import (
 from repro.mem.trace import Access, MemoryTrace
 from repro.obs import Tracer, use_tracer
 
-HAVE_NUMPY = cache_batch._np is not None
-
-ENGINES = ([True] if HAVE_NUMPY else []) + [False]
+CLOSED_FORM = [False, True]
 
 #: The fuzz oracle's cache geometries (repro.fuzz CACHE_GEOMETRIES)
 #: plus degenerate shapes: two-set and single-set caches stress the
@@ -101,12 +103,25 @@ def reference_profiles(trace, space):
             for icfg, dcfg in space]
 
 
-def sweep_profiles(trace, space, vectorized, monkeypatch):
-    """``profile_configs`` on the batched engine, forced onto the
-    pure-Python fallback when ``vectorized`` is False."""
-    if not vectorized:
-        monkeypatch.setattr(cache_batch, "_np", None)
+def use_kernel(closed_form, monkeypatch):
+    """Without ``closed_form``, route every stream through the run loop."""
+    if not closed_form:
+        monkeypatch.setattr(
+            BatchCache, "_consume_read_runs_lru2",
+            lambda self, sets, tags: self._consume_runs(sets, tags, None))
+
+
+def sweep_profiles(trace, space, closed_form, monkeypatch):
+    """``profile_configs`` on the batched engine."""
+    use_kernel(closed_form, monkeypatch)
     return profile_configs(trace, space, engine="batch")
+
+
+def scalar_read_misses(events, cfg, cache=None):
+    """Stream positions of the read misses of a scalar replay."""
+    cache = cache or Cache(cfg)
+    return [i for i, (address, is_write) in enumerate(events)
+            if not cache.access(address, is_write) and not is_write]
 
 
 def fuzz_trace(seed, count, kinds=(Access.IFETCH,) * 4 + (Access.READ,) * 2
@@ -134,24 +149,77 @@ def fuzz_trace(seed, count, kinds=(Access.IFETCH,) * 4 + (Access.READ,) * 2
 # Differential: fuzz traces x geometries x chunk boundaries x engines
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
 @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
-def test_fuzz_traces_bit_identical(geometry, vectorized):
+def test_fuzz_traces_bit_identical(geometry, closed_form, monkeypatch):
+    use_kernel(closed_form, monkeypatch)
     icfg, dcfg = GEOMETRIES[geometry]
     for seed in range(3):
         trace = fuzz_trace(seed, 4000)
         ref_i, ref_d = scalar_replay(trace, icfg, dcfg)
         for chunk in (1, 7, 997, DEFAULT_CHUNK_EVENTS):
             icache, dcache = replay_batch(trace, icfg, dcfg,
-                                          chunk_events=chunk,
-                                          vectorized=vectorized)
+                                          chunk_events=chunk)
             assert_identical(ref_i, icache)
             assert_identical(ref_d, dcache)
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
+@pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+def test_read_miss_positions_match_scalar(geometry, closed_form,
+                                          monkeypatch):
+    """Each chunk reports exactly the positions where a scalar replay
+    of the same stream read-missed, for int32 and int64 streams."""
+    use_kernel(closed_form, monkeypatch)
+    for cfg in GEOMETRIES[geometry]:
+        for seed, kinds in ((0, (Access.IFETCH,)),
+                            (1, (Access.READ,) * 3 + (Access.WRITE,))):
+            trace = fuzz_trace(seed, 1500, kinds=kinds)
+            events = [(address, kind is Access.WRITE)
+                      for kind, address in trace]
+            want = scalar_read_misses(events, cfg)
+            for dtype in (np.int32, np.int64):
+                for chunk in (1, 13, 500, len(events)):
+                    batch = BatchCache(cfg)
+                    got = []
+                    for start in range(0, len(events), chunk):
+                        part = events[start:start + chunk]
+                        addresses = np.array([a for a, _ in part],
+                                             dtype=dtype)
+                        writes = np.array([w for _, w in part], dtype=bool)
+                        missed = batch.consume_vector(
+                            addresses, writes if writes.any() else None)
+                        assert list(missed) == sorted(missed)
+                        got.extend(start + int(i) for i in missed)
+                    assert got == want
+
+
+@pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+def test_warm_start_continues_the_cache(geometry):
+    """``from_cache`` + ``finish(cache)`` equals more scalar accesses on
+    the same (already warm) Cache object, counters and tag store."""
+    for cfg in GEOMETRIES[geometry]:
+        head = [(address, kind is Access.WRITE)
+                for kind, address in fuzz_trace(3, 700)]
+        tail = [(address, kind is Access.WRITE)
+                for kind, address in fuzz_trace(4, 700)]
+        reference, warm = Cache(cfg), Cache(cfg)
+        for address, is_write in head:
+            reference.access(address, is_write)
+            warm.access(address, is_write)
+        want = scalar_read_misses(tail, cfg, reference)
+        batch = BatchCache.from_cache(warm)
+        missed = batch.consume_vector(
+            np.array([a for a, _ in tail], dtype=np.int64),
+            np.array([w for _, w in tail], dtype=bool))
+        assert batch.finish(warm) is warm
+        assert missed.tolist() == want
+        assert_identical(reference, warm)
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
 @pytest.mark.parametrize("space", sorted(SPACES))
-def test_sweep_bit_identical_to_per_pair_reference(space, vectorized,
+def test_sweep_bit_identical_to_per_pair_reference(space, closed_form,
                                                    monkeypatch):
     """One pass over the whole space equals a reference replay per pair,
     at every chunk size, with each distinct cache replayed once."""
@@ -164,8 +232,8 @@ def test_sweep_bit_identical_to_per_pair_reference(space, vectorized,
         for chunk in chunks:
             tracer = Tracer()
             with use_tracer(tracer):
-                caches = replay_sweep(trace, pairs, chunk_events=chunk,
-                                      vectorized=vectorized)
+                use_kernel(closed_form, monkeypatch)
+                caches = replay_sweep(trace, pairs, chunk_events=chunk)
             assert len(caches) == len(pairs)
             for (icache, dcache), profile in zip(caches, want):
                 assert_identical(profile.icache, icache)
@@ -176,16 +244,17 @@ def test_sweep_bit_identical_to_per_pair_reference(space, vectorized,
             assert tracer.counters["mem.batch.replays"] == 1
             assert tracer.counters["mem.batch.events"] == count
         assert_profiles_identical(
-            sweep_profiles(trace, pairs, vectorized, monkeypatch), want)
+            sweep_profiles(trace, pairs, closed_form, monkeypatch), want)
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
 @pytest.mark.parametrize("space", ["repeated", "shared-i", "crossed"])
-def test_sweep_profiles_share_no_cache(space, vectorized, monkeypatch):
+def test_sweep_profiles_share_no_cache(space, closed_form, monkeypatch):
     """Accessing one profile's caches leaves every other profile with the
     same geometry unchanged: each profile owns its Cache objects."""
     trace = fuzz_trace(4, 800)
-    profiles = sweep_profiles(trace, SPACES[space], vectorized, monkeypatch)
+    profiles = sweep_profiles(trace, SPACES[space], closed_form,
+                              monkeypatch)
     caches = [cache for p in profiles for cache in (p.icache, p.dcache)]
     assert len({id(cache) for cache in caches}) == len(caches)
     before = [(c.snapshot(), c.set_contents()) for c in caches]
@@ -202,12 +271,13 @@ def test_sweep_profiles_share_no_cache(space, vectorized, monkeypatch):
             assert cache.set_contents() == contents
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
-def test_empty_space(vectorized, monkeypatch):
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
+def test_empty_space(closed_form, monkeypatch):
+    use_kernel(closed_form, monkeypatch)
     trace = fuzz_trace(2, 50)
     tracer = Tracer()
     with use_tracer(tracer):
-        assert replay_sweep(trace, [], vectorized=vectorized) == []
+        assert replay_sweep(trace, []) == []
         for engine in MEM_ENGINES:
             assert profile_configs(trace, [], engine=engine) == []
             assert explore_cache_profiles(trace, space=[],
@@ -215,46 +285,45 @@ def test_empty_space(vectorized, monkeypatch):
     assert not any(name.startswith("mem.batch") for name in tracer.counters)
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
-def test_chunk_boundary_edge_cases(vectorized):
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
+def test_chunk_boundary_edge_cases(closed_form, monkeypatch):
+    use_kernel(closed_form, monkeypatch)
     icfg, dcfg = GEOMETRIES[0]
     trace = fuzz_trace(42, 100)
     ref_i, ref_d = scalar_replay(trace, icfg, dcfg)
     # chunk size 1, chunk exactly the trace, chunk larger than the trace
     for chunk in (1, len(trace), len(trace) + 13, 10 ** 9):
-        icache, dcache = replay_batch(trace, icfg, dcfg, chunk_events=chunk,
-                                      vectorized=vectorized)
+        icache, dcache = replay_batch(trace, icfg, dcfg, chunk_events=chunk)
         assert_identical(ref_i, icache)
         assert_identical(ref_d, dcache)
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
-def test_empty_trace(vectorized):
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
+def test_empty_trace(closed_form, monkeypatch):
+    use_kernel(closed_form, monkeypatch)
     icfg, dcfg = GEOMETRIES[0]
-    icache, dcache = replay_batch(MemoryTrace(), icfg, dcfg,
-                                  vectorized=vectorized)
+    icache, dcache = replay_batch(MemoryTrace(), icfg, dcfg)
     assert icache.accesses == 0 and dcache.accesses == 0
     assert icache.set_contents() == Cache(icfg).set_contents()
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
 @pytest.mark.parametrize("kinds", [
     (Access.IFETCH,),            # read-only i-stream (vector fast path)
     (Access.READ,),              # read-only d-stream
     (Access.WRITE,),             # write-only (no-write-allocate only)
     (Access.READ, Access.WRITE),
 ])
-def test_single_kind_streams(kinds, vectorized):
+def test_single_kind_streams(kinds, closed_form, monkeypatch):
+    use_kernel(closed_form, monkeypatch)
     for icfg, dcfg in GEOMETRIES[:3]:
         trace = fuzz_trace(7, 1500, kinds=kinds)
         ref_i, ref_d = scalar_replay(trace, icfg, dcfg)
-        icache, dcache = replay_batch(trace, icfg, dcfg, chunk_events=64,
-                                      vectorized=vectorized)
+        icache, dcache = replay_batch(trace, icfg, dcfg, chunk_events=64)
         assert_identical(ref_i, icache)
         assert_identical(ref_d, dcache)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 @pytest.mark.parametrize("assoc,size", [(1, 32), (2, 64)])
 def test_carried_state_across_chunks_lru2(assoc, size):
     """Adversarial cross-chunk sequences for the closed-form read path.
@@ -275,33 +344,33 @@ def test_carried_state_across_chunks_lru2(assoc, size):
                    (0x000, 0x010, 0x000, 0x000, 0x010, 0x020, 0x010, 0x020)]
         trace = MemoryTrace(events=events)
         reference = Cache(cfg)
-        for _, address in trace:
-            reference.access(address)
+        want = scalar_read_misses([(a, False) for _, a in trace], cfg,
+                                  reference)
         for chunk in range(1, 9):
             batch = BatchCache(cfg)
+            got = []
             for start in range(0, len(events), chunk):
-                import numpy as np
                 addresses = np.array(
                     [a for _, a in events[start:start + chunk]],
                     dtype=np.int64)
-                batch.consume_vector(addresses)
+                got.extend(start + int(i)
+                           for i in batch.consume_vector(addresses))
             assert_identical(reference, batch.finish())
+            assert got == want
 
 
 def test_golden_digs_trace_bit_identical(digs_trace):
     """The batched kernel reproduces a real application's golden trace."""
     icfg, dcfg = CacheConfig(2048, 16, 2, 8), CacheConfig(1024, 16, 2, 8)
     reference = replay(digs_trace, icfg, dcfg, engine="reference")
-    for vectorized in ENGINES:
-        icache, dcache = replay_batch(digs_trace, icfg, dcfg,
-                                      vectorized=vectorized)
-        assert_identical(reference.icache, icache)
-        assert_identical(reference.dcache, dcache)
+    icache, dcache = replay_batch(digs_trace, icfg, dcfg)
+    assert_identical(reference.icache, icache)
+    assert_identical(reference.dcache, dcache)
 
 
-@pytest.mark.parametrize("vectorized", ENGINES)
+@pytest.mark.parametrize("closed_form", CLOSED_FORM)
 @pytest.mark.parametrize("app_name", ["3d", "digs"])
-def test_golden_traces_default_space_bit_identical(app_name, vectorized,
+def test_golden_traces_default_space_bit_identical(app_name, closed_form,
                                                    golden_traces,
                                                    golden_references,
                                                    monkeypatch):
@@ -309,7 +378,7 @@ def test_golden_traces_default_space_bit_identical(app_name, vectorized,
     pass, equals a reference replay per pair field for field."""
     assert_profiles_identical(
         sweep_profiles(golden_traces[app_name], SPACES["default"],
-                       vectorized, monkeypatch),
+                       closed_form, monkeypatch),
         golden_references[app_name])
 
 
@@ -338,7 +407,7 @@ def digs_trace(golden_traces):
 @pytest.fixture(scope="module")
 def golden_references(golden_traces):
     """Per-pair reference profiles over the default space, computed once
-    for the numpy and fallback cases."""
+    for both kernel dispatches."""
     return {name: reference_profiles(trace, SPACES["default"])
             for name, trace in golden_traces.items()}
 
@@ -396,7 +465,7 @@ def test_explore_cache_profiles_sweep():
 
 
 # ---------------------------------------------------------------------------
-# Fallback gating and observability
+# Argument checks and observability
 # ---------------------------------------------------------------------------
 
 def test_replay_batch_rejects_bad_chunk():
@@ -414,7 +483,6 @@ def test_counters_emitted():
     assert tracer.counters["mem.batch.caches"] == 2
     assert tracer.counters["mem.batch.chunks"] == 4
     assert tracer.counters["mem.batch.events"] == 100
-    assert "mem.batch.fallback" not in tracer.counters or not HAVE_NUMPY
 
 
 @pytest.mark.parametrize("engine", MEM_ENGINES)
@@ -428,27 +496,9 @@ def test_sweep_counters_and_span(engine):
         explore_cache_profiles(trace, engine=engine)
     span = tracer.root.children["mem.replay"]
     assert span.calls == 1 and not span.children
-    counters = {name: count for name, count in tracer.counters.items()
-                if name != "mem.batch.fallback"}
+    counters = dict(tracer.counters)
     if engine == "reference":
         assert counters == {}
     else:
         assert counters == {"mem.batch.replays": 1, "mem.batch.caches": 12,
                             "mem.batch.chunks": 1, "mem.batch.events": 100}
-
-
-def test_fallback_counter_and_no_numpy_path(monkeypatch):
-    """With numpy gone the kernel must fall back, stay bit-identical,
-    and say so on the mem.batch.fallback counter."""
-    monkeypatch.setattr(cache_batch, "_np", None)
-    icfg, dcfg = GEOMETRIES[0]
-    trace = fuzz_trace(6, 2000)
-    ref_i, ref_d = scalar_replay(trace, icfg, dcfg)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        icache, dcache = replay_batch(trace, icfg, dcfg, chunk_events=128)
-    assert_identical(ref_i, icache)
-    assert_identical(ref_d, dcache)
-    assert tracer.counters["mem.batch.fallback"] == 1
-    with pytest.raises(RuntimeError, match="numpy"):
-        replay_batch(trace, icfg, dcfg, vectorized=True)

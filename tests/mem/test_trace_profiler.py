@@ -72,6 +72,17 @@ def test_load_rejects_garbage():
         MemoryTrace.load(io.StringIO("r notanumber\n"))
 
 
+def test_load_rejects_negative_addresses():
+    # A line tag of -1 would collide with the batched kernel's "no tag"
+    # sentinel: this trace used to replay as 2 hits on engine="batch"
+    # and 1 hit on engine="reference".
+    text = "i -0x10\ni 0x7f0\ni -0x10\n"
+    with pytest.raises(ValueError, match="bad trace record on line 1"):
+        MemoryTrace.load(io.StringIO(text))
+    with pytest.raises(ValueError, match="bad trace record on line 2"):
+        MemoryTrace.load(io.StringIO("r 0x0\nw -4\n"))
+
+
 # ---------------------------------------------------------------------------
 # Profiler vs inline simulation equivalence
 # ---------------------------------------------------------------------------
