@@ -10,7 +10,12 @@ fall back to smaller clusters or give up entirely.
 import pytest
 
 from repro.apps import app_by_name
-from repro.core import PartitionConfig, Partitioner, profile_app
+from repro.core import (
+    ExplorationEngine,
+    PartitionConfig,
+    Partitioner,
+    profile_app,
+)
 from repro.core.objective import ObjectiveConfig
 from repro.tech import cmos6_library
 
@@ -33,8 +38,8 @@ def bench_hardware_cap_sweep(benchmark, trick_setting):
         for cap in caps:
             config = PartitionConfig(
                 objective=ObjectiveConfig(geq_cap=cap))
-            decision = Partitioner(program, library, config).run(
-                profile, initial)
+            decision = ExplorationEngine(library=library).sweep(
+                Partitioner(program, library, config), profile, initial)
             outcomes[cap] = decision
         return outcomes
 
@@ -72,8 +77,8 @@ def bench_energy_weight_sweep(benchmark, trick_setting):
         for f_energy in (0.25, 1.0, 4.0):
             config = PartitionConfig(objective=ObjectiveConfig(
                 f_energy=f_energy, g_hardware=0.2))
-            decision = Partitioner(program, library, config).run(
-                profile, initial)
+            decision = ExplorationEngine(library=library).sweep(
+                Partitioner(program, library, config), profile, initial)
             outcomes[f_energy] = decision
         return outcomes
 

@@ -11,7 +11,7 @@ system energies of their choices.
 import pytest
 
 from repro.apps import ALL_APPS, app_by_name
-from repro.core import Partitioner
+from repro.core import ExplorationEngine, Partitioner
 from repro.core.baselines import (
     average_power_choice,
     performance_driven_choice,
@@ -36,10 +36,11 @@ def _predicted_energy(candidate):
 @pytest.mark.parametrize("name", list(ALL_APPS))
 def bench_selector_comparison(benchmark, name):
     partitioner, profile, initial = _prepare(name)
+    engine = ExplorationEngine(library=partitioner.library)
 
     def run_all():
         return {
-            "low-power": partitioner.run(profile, initial).best,
+            "low-power": engine.sweep(partitioner, profile, initial).best,
             "performance": performance_driven_choice(partitioner, profile,
                                                      initial),
             "avg-power": average_power_choice(partitioner, profile, initial),

@@ -86,6 +86,8 @@ def bench_six_app_sweep_parallel(benchmark, serial_reference):
     # numbers regardless of worker count.
     assert parallel_fps == serial_fps
 
+    if benchmark.stats is None:
+        return  # --benchmark-disable: nothing was timed, no speedup claim
     parallel_s = benchmark.stats.stats.mean
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     benchmark.extra_info["jobs"] = N_JOBS

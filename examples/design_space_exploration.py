@@ -14,7 +14,12 @@ design space on the MPEG-style encoder:
 Run:  python examples/design_space_exploration.py
 """
 
-from repro import ObjectiveConfig, PartitionConfig, Partitioner
+from repro import (
+    ExplorationEngine,
+    ObjectiveConfig,
+    PartitionConfig,
+    Partitioner,
+)
 from repro.apps import app_by_name
 from repro.core import profile_app
 from repro.core.baselines import performance_driven_choice
@@ -26,6 +31,7 @@ def main() -> None:
     library = cmos6_library()
     front = profile_app(app, library)
     program, profile, initial = front.program, front.profile, front.initial
+    engine = ExplorationEngine(library=library)
     print(f"initial design: {initial.up_cycles:,} cycles, "
           f"{initial.total_energy_nj / 1e6:.3f} mJ, "
           f"U_uP = {initial.up_utilization:.3f}")
@@ -34,7 +40,7 @@ def main() -> None:
     # 1. Candidate landscape under the default designer inputs.
     # ------------------------------------------------------------------
     partitioner = Partitioner(program, library)
-    decision = partitioner.run(profile, initial)
+    decision = engine.sweep(partitioner, profile, initial)
     print(f"\ncandidate landscape ({len(decision.candidates)} evaluated, "
           f"{len(decision.rejections)} rejected):")
     for cand in sorted(decision.candidates, key=lambda c: c.objective)[:10]:
@@ -48,7 +54,8 @@ def main() -> None:
     print("\nhardware-budget sweep:")
     for cap in (3_000, 8_000, 16_000, 40_000):
         config = PartitionConfig(objective=ObjectiveConfig(geq_cap=cap))
-        d = Partitioner(program, library, config).run(profile, initial)
+        d = engine.sweep(Partitioner(program, library, config), profile,
+                         initial)
         if d.best is None:
             print(f"  cap {cap:6d} cells: no feasible partition")
         else:
@@ -67,7 +74,8 @@ def main() -> None:
     })
     config = PartitionConfig(resource_sets=[custom],
                              objective=ObjectiveConfig(geq_cap=40_000))
-    d = Partitioner(program, library, config).run(profile, initial)
+    d = engine.sweep(Partitioner(program, library, config), profile,
+                     initial)
     print("\ncustom 'dct-tuned' resource set:")
     if d.best is not None:
         print(f"  chose {d.best.cluster.name} "

@@ -106,12 +106,13 @@ from typing import List, Optional
 
 from repro.apps import ALL_APPS, app_by_name
 from repro.bench import DEFAULT_THRESHOLD
-from repro.cluster import decompose_into_clusters, estimate_transfers, preselect_clusters
+from repro.cluster import estimate_transfers
 from repro.core import (
     EvaluationCache,
     ExplorationEngine,
     IterativePartitioner,
     LowPowerFlow,
+    Partitioner,
     profile_app,
 )
 from repro.isa.image import link_program
@@ -802,16 +803,11 @@ def _cmd_clusters(args) -> int:
     library = cmos6_library()
     front = profile_app(app, library)
     program, profile = front.program, front.profile
+    prep = Partitioner(program, library).prepare(profile)
+    kept = {c.name for c in prep.preselected}
 
-    clusters = decompose_into_clusters(program)
-    chains = {}
-    for cluster in clusters:
-        chains.setdefault(cluster.function, []).append(cluster)
-    kept = {c.name for c in preselect_clusters(
-        clusters, program, profile, library)}
-
-    print(f"{len(clusters)} clusters ({len(kept)} pre-selected):")
-    for cluster in clusters:
+    print(f"{len(prep.all_clusters)} clusters ({len(kept)} pre-selected):")
+    for cluster in prep.all_clusters:
         cdfg = program.cdfgs[cluster.function]
         counts = {b: profile.block_count(cluster.function, b)
                   for b in cdfg.blocks}
@@ -819,8 +815,9 @@ def _cmd_clusters(args) -> int:
                        if cluster.kind == "function"
                        else cluster.invocations(counts, cdfg))
         marker = "*" if cluster.name in kept else " "
-        est = estimate_transfers(cluster, chains[cluster.function], program,
-                                 library, invocations=max(1, invocations))
+        est = estimate_transfers(cluster, prep.chains[cluster.function],
+                                 program, library,
+                                 invocations=max(1, invocations))
         print(f" {marker} {cluster.name:32s} {cluster.kind:8s} "
               f"blocks={len(cluster.blocks):2d} inv={invocations:6d} "
               f"call={'y' if cluster.contains_call else 'n'} "

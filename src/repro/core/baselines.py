@@ -9,14 +9,13 @@ machinery so the comparison isolates the selection criterion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.cluster.cluster import Cluster, decompose_into_clusters
-from repro.cluster.preselect import preselect_clusters
+from repro.core.explore import ExplorationEngine
 from repro.core.partitioner import CandidateEvaluation, Partitioner
 from repro.lang.interp import ExecutionProfile
+from repro.obs import get_tracer
 from repro.power.system import SystemRun
-from repro.sched.list_scheduler import ScheduleError
 from repro.synth.rtl_sim import TRANSFER_CYCLES_PER_WORD
 
 
@@ -25,30 +24,16 @@ def _enumerate_candidates(partitioner: Partitioner,
                           initial: SystemRun) -> List[CandidateEvaluation]:
     """All schedulable (cluster, resource set) pairs under the cell cap —
     without the low-power approach's utilization gate."""
-    program = partitioner.program
-    clusters = decompose_into_clusters(program)
-    preselected = preselect_clusters(
-        clusters, program, profile, partitioner.library,
-        n_max=partitioner.config.n_max_clusters,
-        min_dynamic_ops=partitioner.config.min_cluster_dynamic_ops)
-    chains: Dict[str, List[Cluster]] = {}
-    for cluster in clusters:
-        chains.setdefault(cluster.function, []).append(cluster)
-
-    out: List[CandidateEvaluation] = []
+    prep = partitioner.prepare(profile)
+    engine = ExplorationEngine(library=partitioner.library,
+                               tracer=get_tracer())
+    outcomes = engine.evaluate_pairs(
+        partitioner, profile, initial,
+        prep.pairs(partitioner.config.resource_sets), prep.chains)
     cap = partitioner.config.objective.geq_cap
-    for cluster in preselected:
-        for resource_set in partitioner.config.resource_sets:
-            try:
-                evaluation = partitioner.evaluate_candidate(
-                    cluster, resource_set, profile, initial,
-                    chain=chains[cluster.function])
-            except ScheduleError:
-                continue
-            if cap is not None and evaluation.asic_cells > cap:
-                continue
-            out.append(evaluation)
-    return out
+    return [evaluation for evaluation in outcomes
+            if not isinstance(evaluation, str)
+            and (cap is None or evaluation.asic_cells <= cap)]
 
 
 def _estimated_total_cycles(candidate: CandidateEvaluation,

@@ -11,9 +11,8 @@ metrics, transfer estimate, objective — is a pure function of its inputs.
   out the same way for Table-1-style sweeps (:meth:`run_flows`);
 * **memoization** — every outcome is stored in an :class:`EvaluationCache`
   under a *stable content key* (cluster digest × resource set × library ×
-  workload), so repeated candidates — ``table1`` after ``run``, the
-  multicore iteration's first pass, cache-adaptation sweeps, benchmark
-  reruns — are never re-scheduled;
+  workload), so repeated candidates — ``table1`` after ``run``,
+  cache-adaptation sweeps, benchmark reruns — are never re-scheduled;
 * **fault tolerance** — worker processes are treated as fallible.  Every
   pair evaluation carries an optional per-candidate ``timeout``; a
   failed, hung or killed worker triggers a bounded retry with
@@ -42,10 +41,13 @@ of ``PYTHONHASHSEED``.
 Determinism: the engine evaluates exactly the pairs
 :meth:`~repro.core.partitioner.Partitioner.prepare` enumerates, reassembles
 outcomes in canonical sweep order, and hands them to
-:meth:`~repro.core.partitioner.Partitioner.decide` — the same code the
-serial path runs — so parallel and serial sweeps produce bit-identical
+:meth:`~repro.core.partitioner.Partitioner.decide`, so parallel and serial
+sweeps produce bit-identical
 :class:`~repro.core.partitioner.PartitionDecision` objects (covered by
-``tests/core/test_explore.py`` on all six bundled applications).
+``tests/core/test_explore.py`` on all six bundled applications).  The
+engine at ``jobs=1`` is the only serial sweep: a plain
+:class:`~repro.core.flow.LowPowerFlow`, the multi-core iteration and the
+baseline selectors all evaluate their grids through it.
 """
 
 from __future__ import annotations
@@ -456,7 +458,7 @@ def _pack_result(result, threshold: Optional[int]):
     """Worker-side: move a large result into a shared-memory segment.
 
     Falls back to returning ``result`` unchanged (plain pipe transport)
-    when the transport is disabled, the pickle is small, or the segment
+    when ``threshold`` is ``None``, the pickle is small, or the segment
     cannot be created — the transport is an optimisation, never a new
     failure mode.
     """
@@ -571,13 +573,11 @@ class ExplorationEngine:
         fault_plan: deterministic worker-fault script
             (:class:`~repro.core.faults.FaultPlan`) for testing the
             recovery paths; production sweeps leave it ``None``.
-        result_transport: how worker results travel back to the engine.
-            ``"auto"`` (default) parks results pickling to at least
-            :data:`SHM_MIN_RESULT_BYTES` in a shared-memory segment and
-            sends only a tiny ticket through the executor pipe —
-            zero-copy on the read side (``explore.shm.*`` counters);
-            ``"pipe"`` forces plain pickled-over-the-pipe transport.
-            Either way the bytes, results, and decisions are identical.
+
+    Worker results pickling to at least :data:`SHM_MIN_RESULT_BYTES` ride
+    back in a shared-memory segment, with only a tiny ticket through the
+    executor pipe (``explore.shm.*`` counters); smaller ones take the
+    pipe.  Either way the results and decisions are identical.
 
     The engine keeps its worker pool alive across sweeps — use it as a
     context manager or call :meth:`close` to reap the workers.  A pool
@@ -595,13 +595,9 @@ class ExplorationEngine:
                  retries: int = 2,
                  backoff_s: float = 0.05,
                  max_pool_rebuilds: int = 3,
-                 fault_plan: Optional[FaultPlan] = None,
-                 result_transport: str = "auto") -> None:
+                 fault_plan: Optional[FaultPlan] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if result_transport not in ("auto", "pipe"):
-            raise ValueError(f"unknown result_transport "
-                             f"{result_transport!r} (expected auto or pipe)")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         if retries < 0:
@@ -620,11 +616,10 @@ class ExplorationEngine:
         self.backoff_s = backoff_s
         self.max_pool_rebuilds = max_pool_rebuilds
         self.fault_plan = fault_plan
-        #: Pickled-size floor for shared-memory result transport; None
-        #: disables it (``result_transport="pipe"``).  Tests lower this
-        #: to force small results through the shared-memory path.
-        self._shm_threshold: Optional[int] = (
-            SHM_MIN_RESULT_BYTES if result_transport == "auto" else None)
+        #: Pickled-size floor for shared-memory result transport.  Tests
+        #: lower this to force small results through the shared-memory
+        #: path.
+        self._shm_threshold = SHM_MIN_RESULT_BYTES
         #: Accumulated candidate-audit findings (``verify=True`` only).
         self.verification = None
         if verify:
@@ -694,12 +689,12 @@ class ExplorationEngine:
               initial: SystemRun, app: Optional[AppSpec] = None,
               hw_clusters: FrozenSet[str] = frozenset()
               ) -> PartitionDecision:
-        """Run the Fig. 1 search with caching and (optionally) workers.
+        """Run the Fig. 1 search: prepare, evaluate the grid, decide.
 
-        Bit-identical to :meth:`Partitioner.run`: the engine only changes
-        *who* computes each pair, never the sweep order or the decision.
-        ``app`` is required for multi-process evaluation (workers rebuild
-        the workload from its payload); without it the sweep degrades to
+        This is the one sweep loop.  ``jobs`` only changes *who* computes
+        each pair, never the sweep order or the decision.  ``app`` is
+        required for multi-process evaluation (workers rebuild the
+        workload from its payload); without it the sweep degrades to
         cached in-process evaluation.
         """
         tracer = self.tracer

@@ -155,13 +155,10 @@ class LowPowerFlow:
         config: designer inputs used when the app carries none.
         tracer: observability sink — stage timings and counters land here
             (see ``docs/OBSERVABILITY.md``).
-        jobs: when > 1, the candidate sweep fans out over that many worker
-            processes via an internally owned
-            :class:`~repro.core.explore.ExplorationEngine`.
-        cache: a shared :class:`~repro.core.explore.EvaluationCache`; with
-            ``jobs == 1`` this enables in-process sweep memoization.
-        engine: an externally owned engine to sweep through (overrides
-            ``jobs``/``cache``); lets many flows share one worker pool.
+        engine: the :class:`~repro.core.explore.ExplorationEngine` the
+            candidate sweep runs through; lets many flows share one cache
+            and worker pool.  Without one, each :meth:`run` sweeps through
+            a fresh in-process engine on the flow's tracer.
         verify: run the :mod:`repro.verify` invariant pass over the
             finished result and attach it as ``FlowResult.verification``
             (see docs/VALIDATION.md).
@@ -174,30 +171,15 @@ class LowPowerFlow:
     def __init__(self, library: Optional[TechnologyLibrary] = None,
                  config: Optional[PartitionConfig] = None,
                  tracer: Optional[Tracer] = None,
-                 jobs: int = 1,
-                 cache=None,
                  engine=None,
                  verify: bool = False,
                  collect_traces: bool = False) -> None:
         self.library = library or cmos6_library()
         self.config = config
         self.tracer = tracer or NullTracer()
-        self.jobs = jobs
-        self.cache = cache
         self._engine = engine
         self.verify = verify
         self.collect_traces = collect_traces
-
-    def _sweep_engine(self):
-        """The engine backing the candidate sweep, if any is warranted."""
-        if self._engine is not None:
-            return self._engine
-        if self.jobs > 1 or self.cache is not None:
-            from repro.core.explore import ExplorationEngine
-            self._engine = ExplorationEngine(
-                library=self.library, config=self.config, jobs=self.jobs,
-                cache=self.cache, tracer=self.tracer)
-        return self._engine
 
     def run(self, app: AppSpec) -> FlowResult:
         """Execute the flow end to end.
@@ -220,12 +202,13 @@ class LowPowerFlow:
         profile, initial = front.profile, front.initial
         config = app.config or self.config or PartitionConfig()
 
-        partitioner = Partitioner(program, self.library, config)
-        engine = self._sweep_engine()
-        if engine is not None:
-            decision = engine.sweep(partitioner, profile, initial, app=app)
-        else:
-            decision = partitioner.run(profile, initial)
+        engine = self._engine
+        if engine is None:
+            # Imported here: repro.core.explore imports this module.
+            from repro.core.explore import ExplorationEngine
+            engine = ExplorationEngine(library=self.library, tracer=tracer)
+        decision = engine.sweep(Partitioner(program, self.library, config),
+                                profile, initial, app=app)
         result = FlowResult(app=app, program=program, profile=profile,
                             image=image, initial=initial, decision=decision)
         if decision.best is None:

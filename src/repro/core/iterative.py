@@ -17,20 +17,21 @@ whole procedure can be repeated").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.cluster.cluster import Cluster, decompose_into_clusters
-from repro.cluster.preselect import preselect_clusters
+from repro.cluster.cluster import Cluster
+from repro.core.explore import ExplorationEngine
 from repro.core.flow import AppSpec
 from repro.core.partitioner import (
     CandidateEvaluation,
     PartitionConfig,
     Partitioner,
+    SweepPrep,
 )
 from repro.core.profile import profile_app
 from repro.lang.interp import ExecutionProfile
+from repro.obs import get_tracer
 from repro.power.system import SystemRun, evaluate_partitioned
-from repro.sched.list_scheduler import ScheduleError
 from repro.sched.utilization import ClusterMetrics
 from repro.synth.rtl_sim import AsicRunStats, simulate_asic
 from repro.tech.library import TechnologyLibrary, cmos6_library
@@ -124,18 +125,19 @@ class IterativePartitioner:
         max_cores: upper bound on ASIC cores to commit.
         min_improvement: relative system-energy gain a new core must
             deliver to be committed (stops the greedy loop).
-        engine: an :class:`~repro.core.explore.ExplorationEngine` to
-            evaluate candidates through — its memoization cache makes the
-            first greedy pass free when a plain flow/sweep already priced
-            the same candidates, and its worker pool parallelizes each
-            pass's grid.
+
+    Each run calls :meth:`~repro.core.partitioner.Partitioner.prepare`
+    once.  Each pass evaluates the still-free part of that grid in-process
+    through an :class:`~repro.core.explore.ExplorationEngine` on the
+    ambient tracer (:func:`repro.obs.get_tracer`) and filters it with the
+    single-core ``decide``, so the first pass picks the single-core
+    flow's ``decision.best`` whenever the flow has one.
     """
 
     def __init__(self, library: Optional[TechnologyLibrary] = None,
                  config: Optional[PartitionConfig] = None,
                  max_cores: int = 3,
-                 min_improvement: float = 0.01,
-                 engine=None) -> None:
+                 min_improvement: float = 0.01) -> None:
         if max_cores < 1:
             raise ValueError(f"max_cores must be >= 1, got {max_cores}")
         if not 0.0 <= min_improvement < 1.0:
@@ -145,7 +147,6 @@ class IterativePartitioner:
         self.config = config
         self.max_cores = max_cores
         self.min_improvement = min_improvement
-        self.engine = engine
 
     # ------------------------------------------------------------------
 
@@ -154,68 +155,27 @@ class IterativePartitioner:
         return any((cluster.function, block) in taken
                    for block in cluster.blocks)
 
-    def _search_next(self, partitioner: Partitioner,
-                     profile: ExecutionProfile,
-                     initial: SystemRun,
+    def _search_next(self, engine: ExplorationEngine,
+                     partitioner: Partitioner, prep: SweepPrep,
+                     profile: ExecutionProfile, initial: SystemRun,
                      hw_names: FrozenSet[str],
                      taken_blocks: Set[Tuple[str, str]],
-                     app: Optional[AppSpec] = None,
                      ) -> Optional[CandidateEvaluation]:
         """One Fig. 1 search pass, pricing transfers against the committed
         set and skipping clusters overlapping already-mapped blocks."""
-        program = partitioner.program
-        config = partitioner.config
-        clusters = decompose_into_clusters(program)
-        chains: Dict[str, List[Cluster]] = {}
-        for cluster in clusters:
-            chains.setdefault(cluster.function, []).append(cluster)
-        preselected = preselect_clusters(
-            clusters, program, profile, self.library,
-            n_max=config.n_max_clusters,
-            min_dynamic_ops=config.min_cluster_dynamic_ops)
-
-        pairs = [(cluster, resource_set)
-                 for cluster in preselected
+        pairs = [(cluster, resource_set) for cluster, resource_set
+                 in prep.pairs(partitioner.config.resource_sets)
                  if cluster.name not in hw_names
-                 and not self._blocks_overlap(cluster, taken_blocks)
-                 for resource_set in config.resource_sets]
-        outcomes = self._evaluate_pairs(partitioner, profile, initial,
-                                        pairs, chains, hw_names, app)
-
-        best: Optional[CandidateEvaluation] = None
-        for (cluster, resource_set), outcome in zip(pairs, outcomes):
-            if isinstance(outcome, str) or outcome is None:
-                continue
-            evaluation = outcome
-            if evaluation.utilization <= initial.up_utilization:
-                continue
-            cap = config.objective.geq_cap
-            if cap is not None and evaluation.asic_cells > cap:
-                continue
-            if best is None or evaluation.objective < best.objective:
-                best = evaluation
-        return best
-
-    def _evaluate_pairs(self, partitioner: Partitioner,
-                        profile: ExecutionProfile, initial: SystemRun,
-                        pairs, chains, hw_names: FrozenSet[str],
-                        app: Optional[AppSpec]) -> List[object]:
-        """Evaluate the pass's grid — through the engine when one is set
-        (cached, possibly parallel), inline otherwise."""
-        if self.engine is not None:
-            return self.engine.evaluate_pairs(
-                partitioner, profile, initial, pairs, chains,
-                hw_clusters=hw_names, app=app)
-        outcomes: List[object] = []
-        for cluster, resource_set in pairs:
-            try:
-                outcomes.append(partitioner.evaluate_candidate(
-                    cluster, resource_set, profile, initial,
-                    hw_clusters=hw_names,
-                    chain=chains[cluster.function]))
-            except ScheduleError as exc:
-                outcomes.append(str(exc))
-        return outcomes
+                 and not self._blocks_overlap(cluster, taken_blocks)]
+        outcomes = engine.evaluate_pairs(partitioner, profile, initial,
+                                         pairs, prep.chains,
+                                         hw_clusters=hw_names)
+        decision = partitioner.decide(
+            [(cluster, resource_set, outcome) for (cluster, resource_set),
+             outcome in zip(pairs, outcomes)], prep, initial)
+        # min() keeps the first of equal objectives, as decide() does.
+        return min(decision.candidates, key=lambda c: c.objective,
+                   default=None)
 
     # ------------------------------------------------------------------
 
@@ -225,6 +185,8 @@ class IterativePartitioner:
         image, profile, initial = front.image, front.profile, front.initial
         partitioner = Partitioner(front.program, self.library,
                                   app.config or self.config)
+        prep = partitioner.prepare(profile)
+        engine = ExplorationEngine(library=self.library, tracer=get_tracer())
 
         result = IterativeResult(app=app, initial=initial)
         hw_names: FrozenSet[str] = frozenset()
@@ -234,8 +196,9 @@ class IterativePartitioner:
         current_energy = initial.total_energy_nj
 
         while len(committed) < self.max_cores:
-            candidate = self._search_next(partitioner, profile, initial,
-                                          hw_names, taken_blocks, app=app)
+            candidate = self._search_next(engine, partitioner, prep,
+                                          profile, initial, hw_names,
+                                          taken_blocks)
             if candidate is None:
                 break
 

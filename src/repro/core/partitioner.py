@@ -17,7 +17,11 @@ Steps, mapped to the pseudo code:
 13. ``OF`` — :func:`repro.core.objective.objective_value` with ``E_rest``
      scaled from the initial run's cache/memory/bus energies.
 
-The best-``OF`` candidate proceeds to synthesis and gate-level estimation
+The loop of steps 6/7 is :meth:`repro.core.explore.ExplorationEngine.sweep`:
+it runs :meth:`Partitioner.prepare` (steps 2-5), prices each pair with
+:meth:`Partitioner.evaluate_candidate` (lines 8-13) and hands the outcomes
+to :meth:`Partitioner.decide` (the line-9 filter and the best ``OF``).  The
+best-``OF`` candidate proceeds to synthesis and gate-level estimation
 (lines 14/15, in :mod:`repro.core.flow`).
 """
 
@@ -50,7 +54,6 @@ from repro.sched.binding import BindingResult, bind_schedule
 from repro.sched.list_scheduler import (
     ChainingModel,
     Schedule,
-    ScheduleError,
     list_schedule,
 )
 from repro.sched.utilization import ClusterMetrics, cluster_metrics
@@ -151,10 +154,11 @@ class PartitionDecision:
 class SweepPrep:
     """Precomputed inputs of one Fig. 1 candidate sweep.
 
-    Produced by :meth:`Partitioner.prepare`; consumed by the serial loop in
-    :meth:`Partitioner.run` and by the parallel path in
-    :class:`repro.core.explore.ExplorationEngine` — both evaluate the same
-    ``pairs`` in the same order, so their decisions are bit-identical.
+    Produced by :meth:`Partitioner.prepare`, once per search.
+    :meth:`repro.core.explore.ExplorationEngine.evaluate_pairs` evaluates
+    ``pairs`` (or a filtered subset, as the multi-core iteration and the
+    baseline selectors do) against ``chains``; in-process or on workers,
+    the outcomes come back in pair order, so decisions are bit-identical.
     """
 
     all_clusters: List[Cluster]
@@ -170,7 +174,12 @@ class SweepPrep:
 
 
 class Partitioner:
-    """Runs the Fig. 1 search for one profiled program."""
+    """The Fig. 1 search steps for one profiled program.
+
+    ``prepare`` builds the candidate grid, ``evaluate_candidate`` prices
+    one pair and ``decide`` filters and ranks the outcomes; the sweep
+    itself is :meth:`repro.core.explore.ExplorationEngine.sweep`.
+    """
 
     def __init__(self, program: Program, library: TechnologyLibrary,
                  config: Optional[PartitionConfig] = None) -> None:
@@ -201,11 +210,12 @@ class Partitioner:
                            profile: ExecutionProfile,
                            initial: SystemRun,
                            hw_clusters: frozenset = frozenset(),
-                           chain: Optional[List[Cluster]] = None,
+                           *, chain: List[Cluster],
                            ) -> CandidateEvaluation:
         """Evaluate one (cluster, resource set) pair; raises
         :class:`~repro.sched.list_scheduler.ScheduleError` when the set
-        cannot execute the cluster."""
+        cannot execute the cluster.  ``chain`` is the cluster's function's
+        decomposition, ``SweepPrep.chains[cluster.function]``."""
         cdfg = self.program.cdfgs[cluster.function]
         schedulable = cluster.schedulable_ops(cdfg)
         array_sizes = dict(self.program.global_arrays)
@@ -224,9 +234,6 @@ class Partitioner:
         scratchpad = local_buffer_words(schedulable, array_sizes, self.library)
 
         invocations = self._cluster_invocations(cluster, profile)
-        if chain is None:
-            chain = [c for c in decompose_into_clusters(
-                self.program, cluster.function)]
         transfer = estimate_transfers(cluster, chain, self.program,
                                       self.library, hw_clusters=hw_clusters,
                                       invocations=invocations)
@@ -310,8 +317,8 @@ class Partitioner:
         ``outcomes`` holds, per sweep pair *in canonical order*, either the
         :class:`CandidateEvaluation` or a rejection-reason string (a
         failed schedule).  Keeping the filtering/ranking here — and only
-        here — guarantees the serial and parallel sweeps decide
-        identically.
+        here — guarantees every sweep (serial or parallel, single- or
+        multi-core) filters identically.
         """
         tracer = get_tracer()
         config = self.config
@@ -358,28 +365,3 @@ class Partitioner:
             all_clusters=prep.all_clusters, rejections=rejections,
             up_utilization=u_up, initial_objective=initial_objective,
         )
-
-    def run(self, profile: ExecutionProfile,
-            initial: SystemRun) -> PartitionDecision:
-        """Execute the full Fig. 1 search (serially, uncached).
-
-        :class:`repro.core.explore.ExplorationEngine` runs the same search
-        with a worker pool and a memoization cache; both paths share
-        :meth:`prepare` and :meth:`decide`, differing only in who computes
-        the per-pair evaluations.
-        """
-        tracer = get_tracer()
-        prep = self.prepare(profile)
-        outcomes: List[Tuple[Cluster, ResourceSet, object]] = []
-        with tracer.span("partition.sweep"):
-            for cluster, resource_set in prep.pairs(self.config.resource_sets):
-                try:
-                    with tracer.span("partition.evaluate"):
-                        outcome: object = self.evaluate_candidate(
-                            cluster, resource_set, profile, initial,
-                            chain=prep.chains[cluster.function])
-                    tracer.count("explore.evaluated")
-                except ScheduleError as exc:
-                    outcome = str(exc)
-                outcomes.append((cluster, resource_set, outcome))
-        return self.decide(outcomes, prep, initial)

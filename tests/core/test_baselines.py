@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Partitioner
+from repro.core import ExplorationEngine, Partitioner
 from repro.core.baselines import (
     average_power_choice,
     performance_driven_choice,
@@ -74,7 +74,8 @@ def test_low_power_choice_at_least_as_energy_efficient(setting):
     covers the OF's hardware-effort term, which may trade a fraction of a
     percent of energy for a smaller core."""
     partitioner, profile, initial = setting
-    decision = partitioner.run(profile, initial)
+    decision = ExplorationEngine(library=partitioner.library).sweep(
+        partitioner, profile, initial)
     assert decision.best is not None
     own = decision.best.e_r_nj + decision.best.e_up_nj + decision.best.e_rest_nj
 

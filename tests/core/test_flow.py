@@ -110,6 +110,9 @@ def test_summary_without_partition():
 
 
 def _flow_trace(**flow_options):
+    """One traced flow of the mini app.  Every flow sweeps through the
+    engine: ``explore.sweep`` holds ``partition.prepare`` and the
+    in-process ``explore.evaluate``, and no other sweep span exists."""
     from repro.obs import Tracer
 
     tracer = Tracer()
@@ -117,6 +120,12 @@ def _flow_trace(**flow_options):
                   globals_init={"inp": [(7 * i) % 311 for i in range(128)]})
     result = LowPowerFlow(tracer=tracer, **flow_options).run(app)
     assert result.partitioned is not None
+    flow_span = tracer.root.children["flow.run"]
+    assert "partition.sweep" not in flow_span.children
+    sweep = flow_span.children["explore.sweep"]
+    assert set(sweep.children) == {"partition.prepare", "explore.evaluate"}
+    assert sweep.children["explore.evaluate"].calls \
+        == result.decision.examined
     return result, tracer
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster import decompose_into_clusters
 from repro.core import AppSpec, IterativePartitioner, LowPowerFlow
+from repro.obs import Tracer, use_tracer
 
 
 TWO_KERNEL_SRC = """
@@ -67,6 +69,27 @@ def test_multicore_beats_single_core(two_kernel_app, iterative_result):
     assert single.accepted
     assert (iterative_result.final.total_energy_nj
             < single.partitioned.total_energy_nj)
+
+
+def test_first_core_is_the_single_core_choice(two_kernel_app,
+                                              iterative_result):
+    """Both searches filter through Partitioner.decide, so the first
+    committed core is the single-core flow's winner."""
+    best = LowPowerFlow().run(two_kernel_app).decision.best
+    first = iterative_result.steps[0].candidate
+    assert (first.cluster.name, first.resource_set.name, first.objective) \
+        == (best.cluster.name, best.resource_set.name, best.objective)
+
+
+def test_one_prepare_per_run(two_kernel_app):
+    """The cluster grid is built once per run, not once per pass."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = IterativePartitioner(max_cores=3).run(two_kernel_app)
+    assert len(result.steps) == 2  # three search passes
+    program = two_kernel_app.compile()
+    assert tracer.counters["cluster.decomposed"] == len(
+        decompose_into_clusters(program))
 
 
 def test_total_cells_sum_of_cores(iterative_result):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PartitionConfig, Partitioner
+from repro.core import ExplorationEngine, PartitionConfig, Partitioner
 from repro.core.objective import ObjectiveConfig
 from repro.isa.image import link_program
 from repro.lang import Interpreter, compile_source
@@ -27,6 +27,11 @@ func main() -> int {
 """
 
 
+def _sweep(program, library, profile, initial, config=None):
+    return ExplorationEngine(library=library).sweep(
+        Partitioner(program, library, config), profile, initial)
+
+
 @pytest.fixture()
 def setting(library):
     program = compile_source(KERNEL_SRC)
@@ -41,26 +46,26 @@ def setting(library):
 
 def test_partitioner_finds_the_kernel(setting, library):
     program, profile, initial = setting
-    decision = Partitioner(program, library).run(profile, initial)
+    decision = _sweep(program, library, profile, initial)
     assert decision.best is not None
     assert "loop@for1" in decision.best.cluster.name
 
 
 def test_best_beats_utilization_bar(setting, library):
     program, profile, initial = setting
-    decision = Partitioner(program, library).run(profile, initial)
+    decision = _sweep(program, library, profile, initial)
     assert decision.best.utilization > decision.up_utilization
 
 
 def test_best_objective_below_initial(setting, library):
     program, profile, initial = setting
-    decision = Partitioner(program, library).run(profile, initial)
+    decision = _sweep(program, library, profile, initial)
     assert decision.best.objective < decision.initial_objective
 
 
 def test_candidates_and_rejections_disjoint(setting, library):
     program, profile, initial = setting
-    decision = Partitioner(program, library).run(profile, initial)
+    decision = _sweep(program, library, profile, initial)
     evaluated = {(c.cluster.name, c.resource_set.name)
                  for c in decision.candidates}
     rejected = {(name, rs) for name, rs, _ in decision.rejections}
@@ -71,7 +76,7 @@ def test_candidates_and_rejections_disjoint(setting, library):
 def test_n_max_limits_preselection(setting, library):
     program, profile, initial = setting
     config = PartitionConfig(n_max_clusters=1)
-    decision = Partitioner(program, library, config).run(profile, initial)
+    decision = _sweep(program, library, profile, initial, config)
     assert len(decision.preselected) <= 1
 
 
@@ -79,7 +84,7 @@ def test_geq_cap_rejects_everything_when_tiny(setting, library):
     program, profile, initial = setting
     config = PartitionConfig(
         objective=ObjectiveConfig(geq_cap=100))
-    decision = Partitioner(program, library, config).run(profile, initial)
+    decision = _sweep(program, library, profile, initial, config)
     assert decision.best is None
     assert any("cells over cap" in reason
                for _, _, reason in decision.rejections)
@@ -90,7 +95,7 @@ def test_restricted_resource_sets_skip_infeasible(setting, library):
     # Only a comparator: cannot execute the kernel's multiply.
     config = PartitionConfig(resource_sets=[
         ResourceSet("cmp-only", {ResourceKind.COMPARATOR: 1})])
-    decision = Partitioner(program, library, config).run(profile, initial)
+    decision = _sweep(program, library, profile, initial, config)
     assert decision.best is None
     assert all("no resource" in reason or "U_R" in reason
                for _, _, reason in decision.rejections)
@@ -98,7 +103,7 @@ def test_restricted_resource_sets_skip_infeasible(setting, library):
 
 def test_hw_blocks_cover_cluster(setting, library):
     program, profile, initial = setting
-    decision = Partitioner(program, library).run(profile, initial)
+    decision = _sweep(program, library, profile, initial)
     best = decision.best
     blocks = best.hw_blocks
     assert all(func == best.cluster.function for func, _ in blocks)
@@ -123,7 +128,7 @@ def test_function_cluster_hw_blocks_include_prologue(library):
     interp.run()
     image = link_program(program)
     initial = evaluate_initial(image, library)
-    decision = Partitioner(program, library).run(interp.profile, initial)
+    decision = _sweep(program, library, interp.profile, initial)
     function_candidates = [c for c in decision.candidates
                            if c.cluster.kind == "function"]
     if function_candidates:
@@ -145,5 +150,5 @@ def test_no_partition_for_pure_control_program(library):
     interp.run(7)
     image = link_program(program)
     initial = evaluate_initial(image, library, args=(7,))
-    decision = Partitioner(program, library).run(interp.profile, initial)
+    decision = _sweep(program, library, interp.profile, initial)
     assert decision.best is None

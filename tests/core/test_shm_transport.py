@@ -8,8 +8,6 @@ workers, cache contents — and must never leak segments.
 
 import os
 
-import pytest
-
 from repro.apps import app_by_name
 from repro.core.explore import (
     ExplorationEngine,
@@ -81,11 +79,6 @@ def test_unpack_passes_plain_results_through():
 # Engine integration
 # ---------------------------------------------------------------------------
 
-def test_result_transport_validation():
-    with pytest.raises(ValueError, match="result_transport"):
-        ExplorationEngine(result_transport="carrier-pigeon")
-
-
 def test_shm_transport_decision_identical_to_serial():
     with ExplorationEngine(jobs=1) as engine:
         serial = engine.explore(app_by_name("ckey"))
@@ -100,13 +93,3 @@ def test_shm_transport_decision_identical_to_serial():
     # worker counters still merge through the ticketed results
     assert tracer.counters.get("explore.evaluated", 0) > 0
     assert _shm_segments() - before == set()
-
-
-def test_pipe_transport_still_available():
-    tracer = Tracer()
-    with ExplorationEngine(jobs=2, tracer=tracer,
-                           result_transport="pipe") as engine:
-        assert engine._shm_threshold is None
-        report = engine.explore(app_by_name("ckey"))
-    assert report.decision.best is not None
-    assert "explore.shm.results" not in tracer.counters
