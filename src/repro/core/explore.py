@@ -13,6 +13,9 @@ metrics, transfer estimate, objective — is a pure function of its inputs.
   under a *stable content key* (cluster digest × resource set × library ×
   workload), so repeated candidates — ``table1`` after ``run``,
   cache-adaptation sweeps, benchmark reruns — are never re-scheduled;
+  and each workload's executed front half is kept in
+  :attr:`ExplorationEngine.fronts`, so one program swept at many nodes
+  or cache geometries executes once;
 * **fault tolerance** — worker processes are treated as fallible.  Every
   pair evaluation carries an optional per-candidate ``timeout``; a
   failed, hung or killed worker triggers a bounded retry with
@@ -74,7 +77,7 @@ from repro.core.partitioner import (
     Partitioner,
     SweepPrep,
 )
-from repro.core.profile import profile_app
+from repro.core.profile import BoundedMemo, profile_app
 from repro.lang.interp import ExecutionProfile
 from repro.lang.program import Program
 from repro.mem.cache import CacheConfig
@@ -327,13 +330,16 @@ class _SweepContext:
     clusters_by_name: Dict[str, object]
 
 
-#: Per-worker-process context memo: context key -> _SweepContext.
-_WORKER_CONTEXTS: Dict[str, _SweepContext] = {}
+#: Per-worker-process memos: executed front halves by workload, so one
+#: program executes once per worker at any number of nodes, and sweep
+#: contexts by (payload, library, config) digest.
+_WORKER_FRONTS = BoundedMemo()
+_WORKER_CONTEXTS = BoundedMemo()
 
 
 def _build_sweep_context(payload: AppPayload, library: TechnologyLibrary,
                          config: PartitionConfig) -> _SweepContext:
-    front = profile_app(payload.to_app(), library)
+    front = profile_app(payload.to_app(), library, fronts=_WORKER_FRONTS)
     partitioner = Partitioner(front.program, library, config)
     prep = partitioner.prepare(front.profile)
     return _SweepContext(
@@ -349,7 +355,7 @@ def _get_sweep_context(payload: AppPayload, library: TechnologyLibrary,
     ctx = _WORKER_CONTEXTS.get(key)
     if ctx is None:
         ctx = _build_sweep_context(payload, library, config)
-        _WORKER_CONTEXTS[key] = ctx
+        _WORKER_CONTEXTS.put(key, ctx)
     return ctx
 
 
@@ -573,6 +579,10 @@ class ExplorationEngine:
         fault_plan: deterministic worker-fault script
             (:class:`~repro.core.faults.FaultPlan`) for testing the
             recovery paths; production sweeps leave it ``None``.
+        fronts: shared :class:`~repro.core.profile.BoundedMemo` of
+            executed front halves (one is created if omitted).
+            :meth:`explore` and :meth:`run_flow` execute each workload
+            once and price it again at any node or cache geometry.
 
     Worker results pickling to at least :data:`SHM_MIN_RESULT_BYTES` ride
     back in a shared-memory segment, with only a tiny ticket through the
@@ -595,7 +605,8 @@ class ExplorationEngine:
                  retries: int = 2,
                  backoff_s: float = 0.05,
                  max_pool_rebuilds: int = 3,
-                 fault_plan: Optional[FaultPlan] = None) -> None:
+                 fault_plan: Optional[FaultPlan] = None,
+                 fronts: Optional[BoundedMemo] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if timeout is not None and timeout <= 0:
@@ -609,6 +620,7 @@ class ExplorationEngine:
         self.config = config
         self.jobs = jobs
         self.cache = cache if cache is not None else EvaluationCache()
+        self.fronts = fronts if fronts is not None else BoundedMemo()
         self.tracer = tracer or NullTracer()
         self.verify = verify
         self.timeout = timeout
@@ -986,14 +998,15 @@ class ExplorationEngine:
 
         ``library`` overrides the engine's default technology for this
         one sweep (the scenario tech axis); cache keys include the
-        library digest, so sweeps at different nodes never alias.
+        library digest, so sweeps at different nodes never alias.  A
+        workload already in :attr:`fronts` is priced, not executed.
         """
         tracer = self.tracer
         library = library or self.library
         started = time.perf_counter()
         with use_tracer(tracer), tracer.span("explore.app"):
             config = app.config or self.config or PartitionConfig()
-            front = profile_app(app, library, tracer)
+            front = profile_app(app, library, tracer, fronts=self.fronts)
             partitioner = Partitioner(front.program, library, config)
         decision = self.sweep(partitioner, front.profile, front.initial,
                               app=app)
@@ -1003,7 +1016,8 @@ class ExplorationEngine:
             cache_stats=self.cache.stats())
 
     def run_flow(self, app: AppSpec) -> FlowResult:
-        """One application's complete flow, sweeping through this engine."""
+        """One application's complete flow, sweeping through this engine
+        (and executing ``app`` only if :attr:`fronts` lacks it)."""
         flow = LowPowerFlow(library=self.library, config=self.config,
                             tracer=self.tracer, engine=self,
                             verify=self.verify)

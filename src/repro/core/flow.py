@@ -67,7 +67,12 @@ class AppSpec:
 
 @dataclass
 class FlowResult:
-    """Everything the flow produced for one application."""
+    """Everything the flow produced for one application.
+
+    ``program``, ``image`` and ``profile`` may be shared with other
+    flows of the same workload (an engine's executed front halves, see
+    :func:`~repro.core.profile.profile_app`): treat them as read-only.
+    """
 
     app: AppSpec
     program: Program
@@ -156,9 +161,11 @@ class LowPowerFlow:
         tracer: observability sink — stage timings and counters land here
             (see ``docs/OBSERVABILITY.md``).
         engine: the :class:`~repro.core.explore.ExplorationEngine` the
-            candidate sweep runs through; lets many flows share one cache
-            and worker pool.  Without one, each :meth:`run` sweeps through
-            a fresh in-process engine on the flow's tracer.
+            candidate sweep runs through; lets many flows share one cache,
+            worker pool and executed front halves (a workload the engine
+            has executed is only priced).  Without one, each :meth:`run`
+            executes its app and sweeps through a fresh in-process engine
+            on the flow's tracer.
         verify: run the :mod:`repro.verify` invariant pass over the
             finished result and attach it as ``FlowResult.verification``
             (see docs/VALIDATION.md).
@@ -196,13 +203,14 @@ class LowPowerFlow:
     def _run_traced(self, app: AppSpec, tracer: Tracer) -> FlowResult:
         # Initial ("I") design on the μP core, profiled (#ex_times) off
         # that same ISS run.
+        engine = self._engine
         front = profile_app(app, self.library, tracer,
-                            collect_trace=self.collect_traces)
+                            collect_trace=self.collect_traces,
+                            fronts=None if engine is None else engine.fronts)
         program, image = front.program, front.image
         profile, initial = front.profile, front.initial
         config = app.config or self.config or PartitionConfig()
 
-        engine = self._engine
         if engine is None:
             # Imported here: repro.core.explore imports this module.
             from repro.core.explore import ExplorationEngine

@@ -24,11 +24,22 @@ a ``BNZ``.  A count the equations leave undetermined raises
 ``evaluate_initial``, derive the profile — used by every caller that
 needs a profiled application.  The CDFG interpreter stays the semantic
 reference: ``repro fuzz`` checks the two profiles equal field by field.
+
+Only the pricing of that front half depends on the technology node and
+the cache geometry: the program, its image, its cache-free execution
+record and the profile do not.  Given a :class:`BoundedMemo`,
+:func:`profile_app` keeps the :class:`ProfiledApp` under the workload's
+content (:func:`workload_key`), so one program under many nodes,
+geometries or service lanes is executed once while it stays in the memo
+and is only priced again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ir.cdfg import CDFG
@@ -186,7 +197,11 @@ def profile_from_sim(program: Program, image: ProgramImage,
 
 @dataclass
 class ProfiledApp:
-    """The flow's front half for one application."""
+    """The flow's front half for one application, priced at one node.
+
+    One kept in a :class:`BoundedMemo` is shared by every flow that hits
+    it, across threads: read-only.
+    """
 
     program: Program
     image: ProgramImage
@@ -196,9 +211,82 @@ class ProfiledApp:
     record: Optional["ExecutionRecord"] = None
 
 
+class BoundedMemo:
+    """A thread-safe map that keeps its most recently used entries.
+
+    It keeps at most :attr:`_max_entries` entries whose declared sizes
+    (``put(..., nbytes=)``) total at most :attr:`_max_bytes`, evicting
+    the least recently used past either bound; a value larger than
+    :attr:`_max_bytes` on its own is not kept.  Holds executed front
+    halves (an engine's, shared by the service's per-node engines and
+    lanes, sized by their execution records) and the explore workers'
+    sweep contexts.
+    """
+
+    #: A front half of a bundled application at scale 1 holds
+    #: 0.12-0.8 MB, of which 0.04-0.4 MB is its execution record.
+    _max_entries = 16
+    #: A record costs 4 bytes per executed block and data reference, so
+    #: a long run (a large ``scale``, a long-running ``source``) can be
+    #: far larger; all twelve bundled programs at scale 1 need 2.7 MB.
+    _max_bytes = 32 << 20
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[str, Tuple[object, int]]" = \
+            OrderedDict()
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: str):
+        """The entry under ``key`` (now the most recent), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: str, value, nbytes: int = 0) -> None:
+        """Store ``value``, which holds ``nbytes``, evicting the least
+        recently used entries past the bounds."""
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._nbytes -= old[1]
+            if nbytes > self._max_bytes:
+                return
+            self._entries[key] = (value, nbytes)
+            self._nbytes += nbytes
+            while (len(self._entries) > self._max_entries
+                   or self._nbytes > self._max_bytes):
+                self._nbytes -= self._entries.popitem(last=False)[1][1]
+
+
+def workload_key(app: "AppSpec") -> str:
+    """Content key of one execution: the program (name, source,
+    ``optimize``) and its workload (args, globals).
+
+    The library, the cache geometry and ``model_caches`` are left out:
+    the execution record is cache-free and prices under any of them.
+    """
+    digest = hashlib.sha256()
+    for part in (app.name, app.source, str(app.optimize),
+                 repr(tuple(app.args)),
+                 repr(sorted((name, tuple(values))
+                             for name, values in app.globals_init.items()))):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
 def profile_app(app: "AppSpec", library: TechnologyLibrary,
                 tracer: Optional[Tracer] = None,
-                collect_trace: bool = False) -> ProfiledApp:
+                collect_trace: bool = False,
+                fronts: Optional[BoundedMemo] = None) -> ProfiledApp:
     """Compile, link, evaluate the initial ("I") design, and profile it.
 
     The workload binding is checked first with the interpreter's own
@@ -207,10 +295,39 @@ def profile_app(app: "AppSpec", library: TechnologyLibrary,
     ``flow.initial`` (link, then the ISS's ``isa.execute`` and
     ``isa.price``), ``flow.profile`` (the derivation).  The execution
     record is kept so the partitioned design is priced, not run again.
+
+    With ``fronts``, a workload already executed is only priced under
+    ``library`` and the app's caches (``explore.front.hits``; the
+    ``flow.initial`` span then holds one ``isa.price``), and a new one is
+    executed and kept within the memo's bounds
+    (``explore.front.misses``).  A trace-collecting run never consults
+    ``fronts``: a priced record captures no trace.
     """
+    tracer = tracer or NullTracer()
+    if fronts is None or collect_trace:
+        return _execute_app(app, library, tracer, collect_trace)
+    key = workload_key(app)
+    front = fronts.get(key)
+    if front is None:
+        tracer.count("explore.front.misses")
+        front = _execute_app(app, library, tracer, False)
+        if front.record is not None:
+            fronts.put(key, front, nbytes=front.record.nbytes)
+        return front
+    tracer.count("explore.front.hits")
+    with tracer.span("flow.initial"):
+        initial = evaluate_initial(
+            front.image, library, icache_cfg=app.icache,
+            dcache_cfg=app.dcache, model_caches=app.model_caches,
+            record=front.record)
+    return replace(front, initial=initial)
+
+
+def _execute_app(app: "AppSpec", library: TechnologyLibrary,
+                 tracer: Tracer, collect_trace: bool) -> ProfiledApp:
+    """The front half run from the source: one ISS execution."""
     from repro.isa.simcompile import ExecutionRecord
 
-    tracer = tracer or NullTracer()
     with tracer.span("flow.compile"):
         program = app.compile()
     check_workload(program, app.args, app.globals_init)

@@ -113,6 +113,12 @@ class ExecutionRecord:
     result: int = 0
     complete: bool = False
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by ``bseq`` and ``daddrs``."""
+        return (self.bseq.itemsize * len(self.bseq)
+                + self.daddrs.itemsize * len(self.daddrs))
+
 
 class CompiledProgram:
     """One image compiled to block closures.

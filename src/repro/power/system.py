@@ -169,7 +169,9 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
     :mod:`repro.verify` can cross-check cache accesses reference by
     reference.  ``record``, an empty
     :class:`~repro.isa.simcompile.ExecutionRecord`, keeps the run's
-    execution for :func:`evaluate_partitioned`.
+    execution for :func:`evaluate_partitioned`; a complete one (the same
+    workload on the same image) is priced instead of executed, unless
+    ``collect_trace`` asks for a trace.
     """
     if icache_cfg is None or dcache_cfg is None:
         default_i, default_d = default_cache_configs()
@@ -183,9 +185,12 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
     trace = MemoryTrace() if (collect_trace and model_caches) else None
     sim = Simulator(image, library, icache=icache, dcache=dcache,
                     memory_model=memory, bus=bus, trace=trace)
-    for name, values in (globals_init or {}).items():
-        sim.set_global(name, values)
-    result = sim.run(*args, record=record)
+    if record is not None and record.complete and trace is None:
+        result = sim.price(record)
+    else:
+        for name, values in (globals_init or {}).items():
+            sim.set_global(name, values)
+        result = sim.run(*args, record=record)
     stats = _snapshot_memory_system(icache, dcache, memory, bus, trace)
 
     energy = CoreEnergy(

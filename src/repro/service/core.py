@@ -18,7 +18,8 @@ can call:
   with the CLI path is directly checkable.
 * :class:`ServiceCore` — the evaluation kernel: one shared
   :class:`~repro.core.explore.EvaluationCache` (persistent when the
-  server runs with ``--checkpoint``) feeding one lazily built
+  server runs with ``--checkpoint``) and one shared memo of executed
+  programs feeding one lazily built
   :class:`~repro.core.explore.ExplorationEngine` per technology node.
   Every evaluation runs under the :mod:`repro.verify` flow audit; a
   result with ERROR findings is **refused** (:class:`VerificationRejected`)
@@ -40,6 +41,7 @@ from repro.core.checkpoint import checkpoint_context_key
 from repro.core.explore import EvaluationCache, ExplorationEngine
 from repro.core.flow import AppSpec, FlowResult
 from repro.core.partitioner import PartitionConfig
+from repro.core.profile import BoundedMemo, workload_key
 from repro.lang import Interpreter
 from repro.obs import NullTracer, Tracer, use_tracer
 from repro.power.system import SystemRun
@@ -335,16 +337,21 @@ class ServiceCore:
             ERROR findings raises :class:`VerificationRejected`.
         timeout / retries: per-candidate fault-tolerance knobs forwarded
             to the engines (see :class:`ExplorationEngine`).
+        fronts: the executed front halves every engine shares (a
+            :class:`~repro.core.profile.BoundedMemo`; one is created if
+            omitted), so a program the server has executed is only
+            priced at another node or lane while the memo keeps it.
 
     One engine is built lazily per technology node; all of them share
-    ``cache`` and ``tracer`` (cache keys embed the library digest, so
-    nodes never alias).  :meth:`evaluate` is serialized by an internal
-    lock: the engine and its process pool are not thread-safe, and one
-    job-tier evaluation-lane thread is the intended caller.  Parallelism
-    across lanes comes from :meth:`spawn` — one sibling kernel per extra
-    lane, each with its own engines but the *same* (thread-safe) cache
-    and tracer, so coalescing, metrics and the checkpoint journal stay
-    whole-server while evaluations proceed concurrently.
+    ``cache``, ``fronts`` and ``tracer`` (cache keys embed the library
+    digest, so nodes never alias; a front half is node-free).
+    :meth:`evaluate` is serialized by an internal lock: the engine and
+    its process pool are not thread-safe, and one job-tier
+    evaluation-lane thread is the intended caller.  Parallelism across
+    lanes comes from :meth:`spawn` — one sibling kernel per extra lane,
+    each with its own engines but the *same* (thread-safe) cache, front
+    halves and tracer, so coalescing, metrics and the checkpoint journal
+    stay whole-server while evaluations proceed concurrently.
     """
 
     def __init__(self, jobs: int = 1,
@@ -352,9 +359,11 @@ class ServiceCore:
                  tracer: Optional[Tracer] = None,
                  verify: bool = True,
                  timeout: Optional[float] = None,
-                 retries: int = 2) -> None:
+                 retries: int = 2,
+                 fronts: Optional[BoundedMemo] = None) -> None:
         self.jobs = jobs
         self.cache = cache if cache is not None else EvaluationCache()
+        self.fronts = fronts if fronts is not None else BoundedMemo()
         self.tracer = tracer or NullTracer()
         self.verify = verify
         self.timeout = timeout
@@ -370,7 +379,8 @@ class ServiceCore:
             engine = ExplorationEngine(
                 library=request.library(), jobs=self.jobs,
                 cache=self.cache, tracer=self.tracer, verify=self.verify,
-                timeout=self.timeout, retries=self.retries)
+                timeout=self.timeout, retries=self.retries,
+                fronts=self.fronts)
             self._engines[tech] = engine
         return engine
 
@@ -380,13 +390,15 @@ class ServiceCore:
         The sibling builds its own per-tech engines (each lane thread
         owns its engines and process pools outright, so the coalescing
         and verify-gate invariants hold per digest without cross-lane
-        locking) while sharing this kernel's cache, tracer and
-        fault-tolerance knobs — a cache fill or eviction on any lane is
-        visible to all of them, and ``/v1/metrics`` stays one sink.
+        locking) while sharing this kernel's cache, front halves,
+        tracer and fault-tolerance knobs — a cache fill or eviction on
+        any lane is visible to all of them, and ``/v1/metrics`` stays one
+        sink.
         """
         return ServiceCore(jobs=self.jobs, cache=self.cache,
                            tracer=self.tracer, verify=self.verify,
-                           timeout=self.timeout, retries=self.retries)
+                           timeout=self.timeout, retries=self.retries,
+                           fronts=self.fronts)
 
     def evaluate(self, request: PartitionRequest,
                  progress=None) -> PartitionResult:
@@ -402,14 +414,18 @@ class ServiceCore:
         A ``source`` request first runs once on the CDFG interpreter:
         the flow profiles on the ISS, which cannot see an out-of-range
         array index, so untrusted programs are validated on the
-        reference semantics (bundled applications skip this).
+        reference semantics (bundled applications skip this).  A
+        program in :attr:`fronts` got there through a flow after it
+        passed, so it is not run again for another node; one that
+        failed never reaches a flow and fails on every resubmission.
         """
         with self._lock:
             tracer = self.tracer
             started = time.perf_counter()
             digest = request.digest()
             app = request.to_app()
-            if request.source is not None:
+            if request.source is not None \
+                    and self.fronts.get(workload_key(app)) is None:
                 interp = Interpreter(app.compile())
                 for name, values in app.globals_init.items():
                     interp.set_global(name, values)

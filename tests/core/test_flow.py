@@ -149,3 +149,23 @@ def test_one_flow_executes_the_iss_once(flow_result):
     assert asdict(result.partitioned.sim) == asdict(
         flow_result.partitioned.sim)
     assert traced.partitioned.energy == result.partitioned.energy
+    # Through an engine the executed front half is kept: a second flow of
+    # the workload only prices it, and a trace-collecting flow never
+    # consults it, so it still executes both designs.
+    from repro.core import ExplorationEngine
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    engine = ExplorationEngine(tracer=tracer)
+    runs = [LowPowerFlow(tracer=tracer, engine=engine, **options).run(
+                flow_result.app)
+            for options in ({}, {}, {"collect_traces": True})]
+    assert tracer.counters["isa.executions"] == 1 + 0 + 2
+    assert tracer.counters["explore.front.misses"] == 1
+    assert tracer.counters["explore.front.hits"] == 1
+    assert len(engine.fronts) == 1
+    assert runs[1].program is runs[0].program
+    for run in runs:
+        assert asdict(run.initial.sim) == asdict(result.initial.sim)
+        assert asdict(run.partitioned.sim) == asdict(result.partitioned.sim)
+        assert run.partitioned.energy == result.partitioned.energy

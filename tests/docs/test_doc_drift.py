@@ -200,10 +200,11 @@ COUNT_CALL_RE = re.compile(r"""count\(\s*["']([a-z_.]+)["']""")
 
 
 #: Modules (relative to src/repro/) whose counters the registry must
-#: cover — the ISS, the exploration runtime, the Pareto/scenario layer
-#: and the service tier.
+#: cover — the ISS, the flow's front half, the exploration runtime, the
+#: Pareto/scenario layer and the service tier.
 COUNTER_MODULES = ("core/explore.py", "core/checkpoint.py",
                    "core/partitioner.py", "core/pareto.py",
+                   "core/profile.py",
                    "isa/simulator.py", "mem/cache_batch.py",
                    "scenarios/runner.py", "tech/model.py",
                    "service/core.py", "service/jobs.py",

@@ -351,6 +351,29 @@ class TestParetoCLI:
         assert "checkpoint intact" in capsys.readouterr().out
         assert Path(first).read_bytes() == Path(second).read_bytes()
 
+    def test_tech_quick_executes_once_and_matches_unshared(
+            self, capsys, tmp_path, monkeypatch):
+        """ckey at five nodes executes once; the report is byte-identical
+        to the study with every front-half lookup missing (one execution
+        per node, as before the memo)."""
+        from repro.core.profile import BoundedMemo
+
+        def run(name):
+            out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.t"
+            assert main(["pareto", "tech-quick", "--out", str(out),
+                         "--trace", str(trace)]) == 0
+            capsys.readouterr()
+            counters = json.loads(trace.read_text())["counters"]
+            return out.read_bytes(), counters
+
+        shared, counters = run("shared")
+        assert counters["isa.executions"] == 1
+        assert counters["explore.front.hits"] == 4
+        monkeypatch.setattr(BoundedMemo, "get", lambda self, key: None)
+        unshared, counters = run("unshared")
+        assert counters["isa.executions"] == 5
+        assert shared == unshared
+
     def test_resume_refuses_other_scenario(self, capsys, tmp_path):
         directory = str(tmp_path / "ck")
         assert main(["pareto", "quick", "--checkpoint", directory,

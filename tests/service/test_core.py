@@ -224,6 +224,44 @@ class TestSourceValidation:
         assert job.state == "failed"
         assert job.error == error
 
+    def test_source_is_interpreted_once_across_nodes(self, monkeypatch):
+        import repro.service.core as service_core
+        from repro.lang import Interpreter
+
+        runs = []
+
+        class Counting(Interpreter):
+            def run(self, *args):
+                runs.append(args)
+                return super().run(*args)
+
+        monkeypatch.setattr(service_core, "Interpreter", Counting)
+        tracer = Tracer("validate")
+        with ServiceCore(tracer=tracer) as core:
+            sibling = core.spawn()
+            try:
+                for kernel, tech in ((core, "cmos6-800nm"),
+                                     (core, "cmos6-45nm"),
+                                     (sibling, "cmos6-16nm")):
+                    kernel.evaluate(PartitionRequest.from_dict(
+                        {"source": DOT_SOURCE, "name": "dot",
+                         "globals": {"out": [0] * 8}, "tech": tech}))
+            finally:
+                sibling.close()
+        assert len(runs) == 1
+        assert tracer.counters["isa.executions"] == 1
+
+    def test_bad_source_is_rejected_at_every_node(self):
+        from repro.lang.interp import InterpError
+
+        with ServiceCore() as core:
+            for tech in ("cmos6-800nm", "cmos6-45nm"):
+                with pytest.raises(InterpError, match="out of range"):
+                    core.evaluate(PartitionRequest.from_dict(
+                        {"source": OOB_SOURCE, "name": "oob",
+                         "globals": {"G": [0] * 8}, "tech": tech}))
+            assert core.evaluations == 0
+
     def test_bundled_apps_skip_the_interpreter(self, monkeypatch):
         import repro.service.core as service_core
 

@@ -97,9 +97,13 @@ def _system_run(run) -> dict:
 
 
 def capture(app_name: str) -> dict:
-    result = LowPowerFlow().run(app_by_name(app_name))
+    return golden_view(LowPowerFlow().run(app_by_name(app_name)))
+
+
+def golden_view(result) -> dict:
+    """A finished ``FlowResult`` in the shape of a fixture."""
     data = {
-        "app": app_name,
+        "app": result.app.name,
         "initial": _system_run(result.initial),
         "energy_savings_percent": result.energy_savings_percent,
         "time_change_percent": result.time_change_percent,
