@@ -20,6 +20,6 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -23,7 +23,7 @@ processes and crashes.  Two pieces:
 
 Journal format (``cache.journal``)::
 
-    REPRO-EVALCACHE v1\\n                      # magic line
+    REPRO-EVALCACHE v2\\n                      # magic line
     [4-byte LE length][8-byte SHA-256 prefix][pickle blob]   # repeated
 
 Each blob is ``pickle.dumps((key, outcome))`` — outcomes are the same
@@ -34,6 +34,10 @@ are the SHA-256 content digests of
 :func:`~repro.core.explore.candidate_cache_key`, which embed workload,
 library and config — a journal can therefore be shared across sweeps
 without collisions, exactly like the in-memory cache.
+
+The version in the magic line changes whenever the pickled classes do
+(v2: the schedules' dependence graphs became plain dicts).  A journal of
+another version loads nothing, as one corrupt record.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.core.partitioner import PartitionConfig
 from repro.obs import get_tracer
 
 #: Magic first line of every evaluation-cache journal.
-JOURNAL_MAGIC = b"REPRO-EVALCACHE v1\n"
+JOURNAL_MAGIC = b"REPRO-EVALCACHE v2\n"
 
 #: Journal filename inside a checkpoint directory.
 JOURNAL_FILENAME = "cache.journal"
@@ -94,13 +98,14 @@ def checkpoint_context_key(app, library, config: Optional[PartitionConfig]
 
 
 def scan_journal(path: str) -> Dict[str, Any]:
-    """Read-only audit of a journal file: ``{ok, records, corrupt,
+    """Read-only audit of a journal file: ``{ok, magic, records, corrupt,
     keys, bytes_good, bytes_total}``.
 
     Unlike :class:`PersistentEvaluationCache`, scanning never truncates
     or rewrites — this is what :func:`repro.verify.verify_checkpoint`
     calls, and a verification pass must not mutate its subject.
-    ``ok`` is False when the magic header is missing entirely.
+    ``ok`` is False when the file does not start with
+    :data:`JOURNAL_MAGIC`; ``magic`` holds the bytes it starts with.
     """
     records = 0
     corrupt = 0
@@ -109,8 +114,8 @@ def scan_journal(path: str) -> Dict[str, Any]:
         magic = fh.read(len(JOURNAL_MAGIC))
         bytes_total = os.fstat(fh.fileno()).st_size
         if magic != JOURNAL_MAGIC:
-            return {"ok": False, "records": 0, "corrupt": 1, "keys": [],
-                    "bytes_good": 0, "bytes_total": bytes_total}
+            return {"ok": False, "magic": magic, "records": 0, "corrupt": 1,
+                    "keys": [], "bytes_good": 0, "bytes_total": bytes_total}
         good_end = fh.tell()
         while True:
             header = fh.read(_RECORD_HEADER.size)
@@ -132,8 +137,8 @@ def scan_journal(path: str) -> Dict[str, Any]:
             keys.append(key)
             records += 1
             good_end = fh.tell()
-    return {"ok": True, "records": records, "corrupt": corrupt,
-            "keys": keys, "bytes_good": good_end,
+    return {"ok": True, "magic": JOURNAL_MAGIC, "records": records,
+            "corrupt": corrupt, "keys": keys, "bytes_good": good_end,
             "bytes_total": bytes_total}
 
 

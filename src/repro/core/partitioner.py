@@ -23,12 +23,16 @@ it runs :meth:`Partitioner.prepare` (steps 2-5), prices each pair with
 to :meth:`Partitioner.decide` (the line-9 filter and the best ``OF``).  The
 best-``OF`` candidate proceeds to synthesis and gate-level estimation
 (lines 14/15, in :mod:`repro.core.flow`).
+
+A block's dependence graph and a cluster's transfer estimate do not depend
+on the resource set, so a :class:`Partitioner` computes each once and
+reuses it for every pair that needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster, decompose_into_clusters
 from repro.cluster.preselect import (
@@ -52,8 +56,10 @@ from repro.sched.asic_memory import (
 )
 from repro.sched.binding import BindingResult, bind_schedule
 from repro.sched.list_scheduler import (
+    BlockGraph,
     ChainingModel,
     Schedule,
+    block_graph,
     list_schedule,
 )
 from repro.sched.utilization import ClusterMetrics, cluster_metrics
@@ -179,6 +185,12 @@ class Partitioner:
     ``prepare`` builds the candidate grid, ``evaluate_candidate`` prices
     one pair and ``decide`` filters and ranks the outcomes; the sweep
     itself is :meth:`repro.core.explore.ExplorationEngine.sweep`.
+
+    A partitioner memoizes what its pairs share: each block's reduced
+    dependence graph with its priorities, and each cluster's transfer
+    estimate.  Candidates' schedules share those graphs, read-only.  One
+    thread uses a partitioner at a time (a flow builds its own, and so
+    does each worker's sweep context), so the memos take no lock.
     """
 
     def __init__(self, program: Program, library: TechnologyLibrary,
@@ -186,6 +198,11 @@ class Partitioner:
         self.program = program
         self.library = library
         self.config = config or PartitionConfig()
+        #: (function, scheduled op ids) -> the block's graph.
+        self._graphs: Dict[Tuple[str, Tuple[int, ...]], BlockGraph] = {}
+        #: (cluster name, hw_clusters, invocations) -> Fig. 3 estimate.
+        self._transfers: Dict[Tuple[str, FrozenSet[str], int],
+                              TransferEstimate] = {}
 
     # ------------------------------------------------------------------
 
@@ -203,6 +220,25 @@ class Partitioner:
         return cluster.invocations(self._block_counts(profile,
                                                       cluster.function), cdfg)
 
+    def _block_graph(self, function: str, ops: List,
+                     latency_of) -> BlockGraph:
+        key = (function, tuple(op.op_id for op in ops))
+        graph = self._graphs.get(key)
+        if graph is None:
+            graph = self._graphs[key] = block_graph(ops, latency_of)
+        return graph
+
+    def _transfer(self, cluster: Cluster, chain: List[Cluster],
+                  hw_clusters: FrozenSet[str],
+                  invocations: int) -> TransferEstimate:
+        key = (cluster.name, hw_clusters, invocations)
+        estimate = self._transfers.get(key)
+        if estimate is None:
+            estimate = self._transfers[key] = estimate_transfers(
+                cluster, chain, self.program, self.library,
+                hw_clusters=hw_clusters, invocations=invocations)
+        return estimate
+
     # ------------------------------------------------------------------
 
     def evaluate_candidate(self, cluster: Cluster,
@@ -216,80 +252,93 @@ class Partitioner:
         :class:`~repro.sched.list_scheduler.ScheduleError` when the set
         cannot execute the cluster.  ``chain`` is the cluster's function's
         decomposition, ``SweepPrep.chains[cluster.function]``."""
+        tracer = get_tracer()
         cdfg = self.program.cdfgs[cluster.function]
         schedulable = cluster.schedulable_ops(cdfg)
         array_sizes = dict(self.program.global_arrays)
         array_sizes.update(cdfg.arrays)
         latency_of = make_latency_fn(array_sizes, self.library)
         chaining = ChainingModel() if self.config.use_chaining else None
-        schedules = {name: list_schedule(ops, resource_set,
-                                         latency_of=latency_of,
-                                         chaining=chaining)
-                     for name, ops in schedulable.items()}
-        binding = bind_schedule(schedules, self.library)
-        ex_times = self._block_counts(profile, cluster.function)
-        metrics = cluster_metrics(binding, ex_times, self.library)
-        shared_reads, shared_writes = shared_memory_traffic(
-            schedulable, ex_times, array_sizes, self.library)
-        scratchpad = local_buffer_words(schedulable, array_sizes, self.library)
+        with tracer.span("sched.schedule"):
+            schedules = {
+                name: list_schedule(
+                    ops, resource_set, latency_of=latency_of,
+                    chaining=chaining,
+                    graph=self._block_graph(cluster.function, ops,
+                                            latency_of))
+                for name, ops in schedulable.items()}
+        with tracer.span("sched.bind"):
+            binding = bind_schedule(schedules, self.library)
+        with tracer.span("core.energy"):
+            ex_times = self._block_counts(profile, cluster.function)
+            metrics = cluster_metrics(binding, ex_times, self.library)
+            shared_reads, shared_writes = shared_memory_traffic(
+                schedulable, ex_times, array_sizes, self.library)
+            scratchpad = local_buffer_words(schedulable, array_sizes,
+                                            self.library)
 
-        invocations = self._cluster_invocations(cluster, profile)
-        transfer = estimate_transfers(cluster, chain, self.program,
-                                      self.library, hw_clusters=hw_clusters,
-                                      invocations=invocations)
+            invocations = self._cluster_invocations(cluster, profile)
+            transfer = self._transfer(cluster, chain, hw_clusters,
+                                      invocations)
 
-        datapath = build_datapath(schedules, binding, self.library,
-                                  block_ops=schedulable)
-        controller = build_controller(
-            schedules, loop_counter_count=max(1, len(cluster.fsm_ops) // 3))
-        asic_cells = (datapath.geq + controller.geq
-                      + SCRATCHPAD_CELLS_PER_WORD * scratchpad)
+            datapath = build_datapath(schedules, binding, self.library,
+                                      block_ops=schedulable)
+            controller = build_controller(
+                schedules,
+                loop_counter_count=max(1, len(cluster.fsm_ops) // 3))
+            asic_cells = (datapath.geq + controller.geq
+                          + SCRATCHPAD_CELLS_PER_WORD * scratchpad)
 
-        # Fig. 1 line 11: ASIC energy estimate, plus the shared-memory
-        # traffic its oversized arrays imply.
-        e_r_nj = metrics.energy_estimate_nj + (
-            shared_reads * (self.library.mem_read_energy_nj
-                            + self.library.bus_read_energy_nj)
-            + shared_writes * (self.library.mem_write_energy_nj
-                               + self.library.bus_write_energy_nj))
-        # Line 12: remaining μP energy = initial minus the cluster's share.
-        assert initial.sim is not None
-        cluster_up_nj = initial.sim.blocks_energy_nj(cluster.function,
-                                                     cluster.blocks)
-        e_up_nj = max(0.0, initial.energy.up_core_nj - cluster_up_nj)
-        # E_rest: other cores, scaled by the μP's remaining activity, plus
-        # the candidate's transfer energy (Fig. 3).
-        rest_initial = (initial.energy.icache_nj + initial.energy.dcache_nj
-                        + initial.energy.mem_nj + initial.energy.bus_nj)
-        cluster_cycles = initial.sim.blocks_cycles(cluster.function,
-                                                   cluster.blocks)
-        remaining_fraction = 1.0
-        if initial.up_cycles > 0:
-            remaining_fraction = max(
-                0.0, 1.0 - cluster_cycles / initial.up_cycles)
-        e_rest_nj = rest_initial * remaining_fraction + transfer.energy_nj
-        # Execution-cycle estimate for the objective vector: the μP keeps
-        # running everything outside the cluster, the ASIC core executes
-        # the cluster in N_cyc^c (transfer stalls are priced in energy,
-        # not cycles — matching the line-11/12 energy split above).
-        est_cycles = (max(0, initial.up_cycles - cluster_cycles)
-                      + metrics.total_cycles)
+            # Fig. 1 line 11: ASIC energy estimate, plus the shared-memory
+            # traffic its oversized arrays imply.
+            e_r_nj = metrics.energy_estimate_nj + (
+                shared_reads * (self.library.mem_read_energy_nj
+                                + self.library.bus_read_energy_nj)
+                + shared_writes * (self.library.mem_write_energy_nj
+                                   + self.library.bus_write_energy_nj))
+            # Line 12: remaining μP energy = initial minus the cluster's
+            # share.
+            assert initial.sim is not None
+            cluster_up_nj = initial.sim.blocks_energy_nj(cluster.function,
+                                                         cluster.blocks)
+            e_up_nj = max(0.0, initial.energy.up_core_nj - cluster_up_nj)
+            # E_rest: other cores, scaled by the μP's remaining activity,
+            # plus the candidate's transfer energy (Fig. 3).
+            rest_initial = (initial.energy.icache_nj
+                            + initial.energy.dcache_nj
+                            + initial.energy.mem_nj + initial.energy.bus_nj)
+            cluster_cycles = initial.sim.blocks_cycles(cluster.function,
+                                                       cluster.blocks)
+            remaining_fraction = 1.0
+            if initial.up_cycles > 0:
+                remaining_fraction = max(
+                    0.0, 1.0 - cluster_cycles / initial.up_cycles)
+            e_rest_nj = (rest_initial * remaining_fraction
+                         + transfer.energy_nj)
+            # Execution-cycle estimate for the objective vector: the μP
+            # keeps running everything outside the cluster, the ASIC core
+            # executes the cluster in N_cyc^c (transfer stalls are priced
+            # in energy, not cycles — matching the line-11/12 energy split
+            # above).
+            est_cycles = (max(0, initial.up_cycles - cluster_cycles)
+                          + metrics.total_cycles)
 
-        objective = objective_value(
-            e_r_nj + e_up_nj + e_rest_nj,
-            e0_nj=initial.total_energy_nj,
-            geq=asic_cells,
-            config=self.config.objective,
-        )
-        return CandidateEvaluation(
-            cluster=cluster, resource_set=resource_set, schedules=schedules,
-            binding=binding, metrics=metrics, transfer=transfer,
-            invocations=invocations, ex_times=ex_times,
-            asic_cells=asic_cells, e_r_nj=e_r_nj, e_up_nj=e_up_nj,
-            e_rest_nj=e_rest_nj, objective=objective,
-            shared_mem_reads=shared_reads, shared_mem_writes=shared_writes,
-            scratchpad_words=scratchpad, est_cycles=est_cycles,
-        )
+            objective = objective_value(
+                e_r_nj + e_up_nj + e_rest_nj,
+                e0_nj=initial.total_energy_nj,
+                geq=asic_cells,
+                config=self.config.objective,
+            )
+            return CandidateEvaluation(
+                cluster=cluster, resource_set=resource_set,
+                schedules=schedules, binding=binding, metrics=metrics,
+                transfer=transfer, invocations=invocations,
+                ex_times=ex_times, asic_cells=asic_cells, e_r_nj=e_r_nj,
+                e_up_nj=e_up_nj, e_rest_nj=e_rest_nj, objective=objective,
+                shared_mem_reads=shared_reads,
+                shared_mem_writes=shared_writes,
+                scratchpad_words=scratchpad, est_cycles=est_cycles,
+            )
 
     # ------------------------------------------------------------------
 

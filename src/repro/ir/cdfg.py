@@ -5,6 +5,11 @@ where each block carries straight-line :class:`~repro.ir.ops.Operation` lists.
 Operation-level data dependences are derived on demand with
 :func:`build_data_dependence_graph` — that DAG is what the list scheduler
 consumes (paper Fig. 1, line 8).
+
+Both graphs are plain insertion-ordered dicts: the CFG maps each block to
+``{successor: edge kind}``, the DDG each operation to ``{successor: dep
+kind}``.  Iteration follows insertion order, so every traversal here is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.ir.ops import Operation, OpKind, Value
+
+#: An intra-block data-dependence DAG: operation -> {successor: dep kind}.
+#: Keys are in program order, which is a topological order (every edge
+#: points forward).
+DDG = Dict[Operation, Dict[Operation, str]]
 
 
 class IRError(Exception):
@@ -78,7 +86,9 @@ class CDFG:
         self.arrays: Dict[str, int] = {}
         self.blocks: Dict[str, BasicBlock] = {}
         self.entry: Optional[str] = None
-        self._cfg = nx.DiGraph()
+        #: block -> {successor: edge kind}, and block -> {predecessor: None}.
+        self._succ: Dict[str, Dict[str, str]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,7 +99,8 @@ class CDFG:
             raise IRError(f"duplicate block name {name!r}")
         block = BasicBlock(name)
         self.blocks[name] = block
-        self._cfg.add_node(name)
+        self._succ[name] = {}
+        self._pred[name] = {}
         if self.entry is None:
             self.entry = name
         return block
@@ -100,7 +111,16 @@ class CDFG:
             raise IRError(f"edge {src}->{dst} references unknown block")
         if kind not in ("true", "false", "jump", "fall"):
             raise IRError(f"bad edge kind {kind!r}")
-        self._cfg.add_edge(src, dst, kind=kind)
+        self._succ[src][dst] = kind
+        self._pred[dst][src] = None
+
+    def remove_block(self, name: str) -> None:
+        """Delete a block together with its incoming and outgoing edges."""
+        del self.blocks[name]
+        for succ in self._succ.pop(name):
+            del self._pred[succ][name]
+        for pred in self._pred.pop(name):
+            del self._succ[pred][name]
 
     def declare_array(self, symbol: str, size: int) -> None:
         if size <= 0:
@@ -111,25 +131,19 @@ class CDFG:
     # Queries
     # ------------------------------------------------------------------
 
-    @property
-    def cfg(self) -> nx.DiGraph:
-        """The block-level control-flow graph (read-only by convention)."""
-        return self._cfg
-
     def successors(self, block: str) -> List[str]:
-        return list(self._cfg.successors(block))
+        return list(self._succ[block])
 
     def predecessors(self, block: str) -> List[str]:
-        return list(self._cfg.predecessors(block))
+        return list(self._pred[block])
 
     def edge_kind(self, src: str, dst: str) -> str:
-        return self._cfg.edges[src, dst]["kind"]
+        return self._succ[src][dst]
 
     def branch_targets(self, block: str) -> Tuple[Optional[str], Optional[str]]:
         """(taken, not-taken) successors of a BRANCH-terminated block."""
         taken = fall = None
-        for succ in self._cfg.successors(block):
-            kind = self._cfg.edges[block, succ]["kind"]
+        for succ, kind in self._succ[block].items():
             if kind == "true":
                 taken = succ
             elif kind == "false":
@@ -144,14 +158,63 @@ class CDFG:
     def op_count(self) -> int:
         return sum(len(b) for b in self.blocks.values())
 
+    def postorder(self) -> List[str]:
+        """The blocks reachable from the entry in depth-first post-order,
+        visiting successors in edge-insertion order."""
+        if self.entry is None:
+            return []
+        order: List[str] = []
+        seen = {self.entry}
+        stack = [(self.entry, iter(self._succ[self.entry]))]
+        while stack:
+            node, succs = stack[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(self._succ[succ])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+        return order
+
     def reverse_postorder(self) -> List[str]:
         """Blocks in reverse post-order from the entry (a topological-ish
         order that visits definitions before uses for reducible CFGs)."""
-        if self.entry is None:
-            return []
-        order = list(nx.dfs_postorder_nodes(self._cfg, source=self.entry))
+        order = self.postorder()
         order.reverse()
         return order
+
+    def immediate_dominators(self) -> Dict[str, str]:
+        """Immediate dominator of every block reachable from the entry
+        (the entry maps to itself), by Cooper, Harvey and Kennedy's
+        iterative algorithm ("A Simple, Fast Dominance Algorithm")."""
+        order = self.postorder()
+        if not order:
+            return {}
+        index = {block: i for i, block in enumerate(order)}
+        idom = {self.entry: self.entry}
+
+        def intersect(a: str, b: str) -> str:
+            while a != b:
+                while index[a] < index[b]:
+                    a = idom[a]
+                while index[b] < index[a]:
+                    b = idom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for block in reversed(order[:-1]):
+                new = None
+                for pred in self._pred[block]:
+                    if pred in idom:
+                        new = pred if new is None else intersect(pred, new)
+                if idom.get(block) != new:
+                    idom[block] = new
+                    changed = True
+        return idom
 
     def natural_loops(self) -> List[Tuple[str, frozenset]]:
         """Detect natural loops: (header, body-block-set) per back edge.
@@ -159,9 +222,7 @@ class CDFG:
         A back edge ``t -> h`` is one whose head dominates its tail.  Loops
         sharing a header are merged.
         """
-        if self.entry is None:
-            return []
-        idom = nx.immediate_dominators(self._cfg, self.entry)
+        idom = self.immediate_dominators()
 
         def dominates(a: str, b: str) -> bool:
             node = b
@@ -170,20 +231,21 @@ class CDFG:
                     return True
                 parent = idom.get(node)
                 if parent is None or parent == node:
-                    return a == node
+                    return False
                 node = parent
 
         loops: Dict[str, set] = {}
-        for tail, head in self._cfg.edges():
-            if dominates(head, tail):
-                body = loops.setdefault(head, {head})
-                stack = [tail]
-                while stack:
-                    node = stack.pop()
-                    if node in body:
-                        continue
-                    body.add(node)
-                    stack.extend(self._cfg.predecessors(node))
+        for tail, succs in self._succ.items():
+            for head in succs:
+                if dominates(head, tail):
+                    body = loops.setdefault(head, {head})
+                    stack = [tail]
+                    while stack:
+                        node = stack.pop()
+                        if node in body:
+                            continue
+                        body.add(node)
+                        stack.extend(self._pred[node])
         return [(h, frozenset(b)) for h, b in sorted(loops.items())]
 
     # ------------------------------------------------------------------
@@ -217,7 +279,7 @@ class CDFG:
                     raise IRError(
                         f"{op!r} in {name} references undeclared array {op.symbol!r}"
                     )
-        unreachable = set(self.blocks) - set(nx.descendants(self._cfg, self.entry)) - {self.entry}
+        unreachable = set(self.blocks) - set(self.postorder())
         if unreachable:
             raise IRError(f"unreachable blocks: {sorted(unreachable)}")
 
@@ -225,7 +287,7 @@ class CDFG:
         return f"<CDFG {self.name}: {len(self.blocks)} blocks, {self.op_count} ops>"
 
 
-def build_data_dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
+def build_data_dependence_graph(ops: Iterable[Operation]) -> DDG:
     """Build the intra-block data-dependence DAG used by the list scheduler.
 
     Edges:
@@ -235,41 +297,43 @@ def build_data_dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
       * memory (``mem``): program-order edges between LOAD/STORE pairs on the
         same array symbol where at least one is a STORE.
 
-    Nodes are :class:`Operation` objects (hashed by ``op_id``).
+    Nodes are :class:`Operation` objects (hashed by ``op_id``), in
+    program order.  A pair with several dependences keeps the kind found
+    last.
     """
-    ddg = nx.DiGraph()
+    ddg: DDG = {}
     last_def: Dict[Value, Operation] = {}
     readers: Dict[Value, List[Operation]] = {}
     last_store: Dict[str, Operation] = {}
     loads_since_store: Dict[str, List[Operation]] = {}
 
     for op in ops:
-        ddg.add_node(op)
+        ddg[op] = {}
         for value in op.uses:
             definition = last_def.get(value)
             if definition is not None:
-                ddg.add_edge(definition, op, dep="flow")
+                ddg[definition][op] = "flow"
             readers.setdefault(value, []).append(op)
         if op.result is not None:
             prev = last_def.get(op.result)
             if prev is not None and prev is not op:
-                ddg.add_edge(prev, op, dep="output")
+                ddg[prev][op] = "output"
             for reader in readers.get(op.result, ()):
                 if reader is not op:
-                    ddg.add_edge(reader, op, dep="anti")
+                    ddg[reader][op] = "anti"
             last_def[op.result] = op
             readers[op.result] = []
         if op.kind is OpKind.LOAD:
             store = last_store.get(op.symbol)
             if store is not None:
-                ddg.add_edge(store, op, dep="mem")
+                ddg[store][op] = "mem"
             loads_since_store.setdefault(op.symbol, []).append(op)
         elif op.kind is OpKind.STORE:
             store = last_store.get(op.symbol)
             if store is not None:
-                ddg.add_edge(store, op, dep="mem")
+                ddg[store][op] = "mem"
             for load in loads_since_store.get(op.symbol, ()):
-                ddg.add_edge(load, op, dep="mem")
+                ddg[load][op] = "mem"
             last_store[op.symbol] = op
             loads_since_store[op.symbol] = []
     return ddg

@@ -98,13 +98,10 @@ class _FuncLowerer:
         return self.cdfg
 
     def _prune_unreachable(self) -> None:
-        import networkx as nx
-        reachable = {self.cdfg.entry} | set(
-            nx.descendants(self.cdfg.cfg, self.cdfg.entry))
+        reachable = set(self.cdfg.postorder())
         for name in list(self.cdfg.blocks):
             if name not in reachable:
-                del self.cdfg.blocks[name]
-                self.cdfg.cfg.remove_node(name)
+                self.cdfg.remove_block(name)
 
     # ------------------------------------------------------------------
     # Statements

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ir.cdfg import build_data_dependence_graph
+from repro.ir.cdfg import DDG, build_data_dependence_graph
 from repro.ir.ops import CONTROL_KINDS, Operation, OpKind
 from repro.sched.priority import default_latency, path_height
 from repro.tech.resources import (
@@ -32,6 +32,9 @@ class ScheduleError(Exception):
 #: Kinds that synthesize to wires/literals, not datapath resources:
 #: constants are hardwired and copies are routing.
 _WIRE_KINDS = frozenset({OpKind.CONST, OpKind.MOV})
+
+#: A block's reduced dependence DAG and its path-height priorities.
+BlockGraph = Tuple[DDG, Dict[Operation, int]]
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,9 @@ class Schedule:
     makespan: int
     resource_set: ResourceSet
     by_step: Dict[int, List[ScheduledOp]] = field(default_factory=dict)
-    ddg: Optional[object] = None  # the reduced dependence DAG (networkx)
+    #: The reduced dependence DAG (:func:`hw_dependence_graph`); may be
+    #: shared with other schedules of the block, so read-only.
+    ddg: Optional[DDG] = None
 
     def __post_init__(self) -> None:
         if not self.by_step:
@@ -101,10 +106,11 @@ class Schedule:
         if self.ddg is not None:
             finish = {e.op: e.end for e in self.entries}
             start = {e.op: e.start for e in self.entries}
-            for src, dst in self.ddg.edges():
-                if start[dst] < finish[src]:
-                    problems.append(
-                        f"dependence violated: {src!r} -> {dst!r}")
+            for src, succs in self.ddg.items():
+                for dst in succs:
+                    if start[dst] < finish[src]:
+                        problems.append(
+                            f"dependence violated: {src!r} -> {dst!r}")
         return problems
 
     def verify(self) -> None:
@@ -121,31 +127,57 @@ def datapath_ops(ops: Iterable[Operation]) -> List[Operation]:
             if op.kind not in CONTROL_KINDS and op.kind not in _WIRE_KINDS]
 
 
-def hw_dependence_graph(ops: Iterable[Operation]):
+def hw_dependence_graph(ops: Iterable[Operation]) -> DDG:
     """Data-dependence DAG over the schedulable (datapath) operations.
 
     Built over all non-control operations, then CONST/MOV nodes are
-    contracted away: their consumers inherit the producers' dependences
-    with zero latency (a wire).
+    contracted away, in program order: their consumers inherit the
+    producers' dependences with zero latency (a wire), as ``flow`` edges.
     """
-    non_control = [op for op in ops if op.kind not in CONTROL_KINDS]
-    ddg = build_data_dependence_graph(non_control)
-    for op in list(ddg.nodes):
-        if op.kind in _WIRE_KINDS:
-            preds = list(ddg.predecessors(op))
-            succs = list(ddg.successors(op))
-            for pred in preds:
-                for succ in succs:
-                    if pred is not succ:
-                        ddg.add_edge(pred, succ, dep="flow")
-            ddg.remove_node(op)
+    ddg = build_data_dependence_graph(
+        op for op in ops if op.kind not in CONTROL_KINDS)
+    preds: Dict[Operation, Dict[Operation, None]] = {op: {} for op in ddg}
+    for op, succs in ddg.items():
+        for succ in succs:
+            preds[succ][op] = None
+    for op in [op for op in ddg if op.kind in _WIRE_KINDS]:
+        succs = ddg.pop(op)
+        for succ in succs:
+            del preds[succ][op]
+        for pred in preds.pop(op):
+            del ddg[pred][op]
+            for succ in succs:
+                if pred is not succ:
+                    ddg[pred][succ] = "flow"
+                    preds[succ][pred] = None
     return ddg
+
+
+def block_graph(ops: Iterable[Operation],
+                latency_of=None) -> BlockGraph:
+    """The reduced dependence DAG of a block and its path heights.
+
+    Both depend only on the operations and their latencies, never on the
+    resource set, so a caller scheduling one block on several sets may
+    build this once and pass it to every :func:`list_schedule` call.
+    """
+    ddg = hw_dependence_graph(ops)
+    return ddg, path_height(ddg, latency_of or default_latency)
+
+
+def _indegrees(ddg: DDG) -> Dict[Operation, int]:
+    indegree = dict.fromkeys(ddg, 0)
+    for succs in ddg.values():
+        for succ in succs:
+            indegree[succ] += 1
+    return indegree
 
 
 def list_schedule(ops: Iterable[Operation],
                   resource_set: ResourceSet,
                   latency_of=None,
-                  chaining: Optional["ChainingModel"] = None) -> Schedule:
+                  chaining: Optional["ChainingModel"] = None,
+                  graph: Optional[BlockGraph] = None) -> Schedule:
     """Schedule the datapath operations of one block.
 
     Args:
@@ -157,6 +189,8 @@ def list_schedule(ops: Iterable[Operation],
             single-cycle operations may share a control step as long as
             their combinational delays fit the clock period (see
             :class:`ChainingModel`).
+        graph: the block's :func:`block_graph` under the same
+            ``latency_of``, when the caller keeps one; it is only read.
 
     Raises :class:`ScheduleError` if some operation has no compatible
     resource in ``resource_set`` (the designer's allocation cannot execute
@@ -166,7 +200,8 @@ def list_schedule(ops: Iterable[Operation],
     tracer = get_tracer()
     tracer.count("sched.list_schedule.calls")
     if chaining is not None:
-        return _list_schedule_chained(ops, resource_set, latency_of, chaining)
+        return _list_schedule_chained(ops, resource_set, latency_of,
+                                      chaining, graph)
     ops = list(ops)
     body = datapath_ops(ops)
     tracer.count("sched.ops_scheduled", len(body))
@@ -180,9 +215,8 @@ def list_schedule(ops: Iterable[Operation],
 
     latency_of = latency_of or default_latency
 
-    ddg = hw_dependence_graph(ops)
-    priority = path_height(ddg, latency_of)
-    indegree = {op: ddg.in_degree(op) for op in body}
+    ddg, priority = graph or block_graph(ops, latency_of)
+    indegree = _indegrees(ddg)
     ready: List[Operation] = [op for op in body if indegree[op] == 0]
     # Earliest step each op may start (dependence-driven).
     earliest: Dict[Operation, int] = {op: 0 for op in body}
@@ -226,7 +260,7 @@ def list_schedule(ops: Iterable[Operation],
                 if placed:
                     break
             if placed:
-                for succ in ddg.successors(op):
+                for succ in ddg[op]:
                     indegree[succ] -= 1
                     earliest[succ] = max(earliest[succ], scheduled[op].end)
                     if indegree[succ] == 0:
@@ -262,7 +296,8 @@ class ChainingModel:
 def _list_schedule_chained(ops: Iterable[Operation],
                            resource_set: ResourceSet,
                            latency_of,
-                           chaining: ChainingModel) -> Schedule:
+                           chaining: ChainingModel,
+                           graph: Optional[BlockGraph]) -> Schedule:
     """List scheduling with operator chaining.
 
     Dependent single-cycle operations may share a control step as long as
@@ -287,9 +322,8 @@ def _list_schedule_chained(ops: Iterable[Operation],
     if not body:
         return Schedule(entries=[], makespan=0, resource_set=resource_set)
 
-    ddg = hw_dependence_graph(ops)
-    priority = path_height(ddg, latency_of)
-    indegree = {op: ddg.in_degree(op) for op in body}
+    ddg, priority = graph or block_graph(ops, latency_of)
+    indegree = _indegrees(ddg)
     ready: List[Operation] = [op for op in body if indegree[op] == 0]
 
     # Dependence availability: (step, intra-step chain delay in ns).
@@ -353,7 +387,7 @@ def _list_schedule_chained(ops: Iterable[Operation],
                 if placed:
                     break
             if placed:
-                for succ in ddg.successors(op):
+                for succ in ddg[op]:
                     indegree[succ] -= 1
                     # The consumer may chain in the producer's last step
                     # when the producer is single-cycle.

@@ -57,11 +57,10 @@ def max_live_registers(schedule: Schedule) -> int:
     start = {e.op: e.start for e in schedule.entries}
     end = {e.op: e.end for e in schedule.entries}
     lifetimes: List[Tuple[int, int]] = []
-    for op in schedule.ddg.nodes:
+    for op, succs in schedule.ddg.items():
         if op not in end:
             continue
-        consumers = [start[succ] for succ in schedule.ddg.successors(op)
-                     if succ in start]
+        consumers = [start[succ] for succ in succs if succ in start]
         if not consumers:
             continue
         last_use = max(consumers)

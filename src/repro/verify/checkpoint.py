@@ -12,7 +12,8 @@ truncates corrupt tails) and reports findings under the registered
 * missing/unreadable/mis-schema'd ``checkpoint.json`` — ERROR;
 * context digest mismatch against the live sweep — ERROR (resuming would
   replay another workload's outcomes);
-* missing journal, or a journal without its magic header — ERROR;
+* missing journal, or a journal without this build's magic header
+  (another ``REPRO-EVALCACHE`` version is named in the message) — ERROR;
 * a corrupt journal tail — WARNING (the cache loader will truncate it;
   only the damaged suffix is lost);
 * otherwise an INFO finding with the record/byte statistics.
@@ -47,6 +48,7 @@ def verify_checkpoint(directory: str,
         CHECKPOINT_SCHEMA_NAME,
         CHECKPOINT_SCHEMA_VERSION,
         JOURNAL_FILENAME,
+        JOURNAL_MAGIC,
         META_FILENAME,
         scan_journal,
     )
@@ -111,11 +113,18 @@ def verify_checkpoint(directory: str,
             f"cache.journal is unreadable: {exc}", subject=directory))
         return report
     if not scan["ok"]:
+        found = scan["magic"].decode("ascii", "replace").strip()
+        wanted = JOURNAL_MAGIC.decode("ascii").strip()
+        if found.startswith("REPRO-EVALCACHE "):
+            problem = (f"cache.journal is a {found} journal; this build "
+                       f"reads {wanted} only")
+        else:
+            problem = "cache.journal has no REPRO-EVALCACHE magic header"
         report.add(_finding(
             "explore.checkpoint", Severity.ERROR,
-            "cache.journal has no REPRO-EVALCACHE magic header — not a "
-            "journal (resume would discard it entirely)",
-            subject=directory, values={"bytes_total": scan["bytes_total"]}))
+            f"{problem} — resume would discard it entirely",
+            subject=directory,
+            values={"bytes_total": scan["bytes_total"], "magic": found}))
         return report
     if scan["corrupt"]:
         report.add(_finding(

@@ -112,7 +112,9 @@ def test_summary_without_partition():
 def _flow_trace(**flow_options):
     """One traced flow of the mini app.  Every flow sweeps through the
     engine: ``explore.sweep`` holds ``partition.prepare`` and the
-    in-process ``explore.evaluate``, and no other sweep span exists."""
+    in-process ``explore.evaluate``, and no other sweep span exists.
+    Each evaluation schedules, binds and prices under its own span; a
+    pair whose set cannot execute the cluster stops after scheduling."""
     from repro.obs import Tracer
 
     tracer = Tracer()
@@ -124,8 +126,16 @@ def _flow_trace(**flow_options):
     assert "partition.sweep" not in flow_span.children
     sweep = flow_span.children["explore.sweep"]
     assert set(sweep.children) == {"partition.prepare", "explore.evaluate"}
-    assert sweep.children["explore.evaluate"].calls \
-        == result.decision.examined
+    evaluate = sweep.children["explore.evaluate"]
+    assert evaluate.calls == result.decision.examined
+    assert set(evaluate.children) == {"sched.schedule", "sched.bind",
+                                      "core.energy"}
+    schedulable = evaluate.calls \
+        - tracer.counters.get("explore.rejected.schedule", 0)
+    assert evaluate.children["sched.schedule"].calls == evaluate.calls
+    assert evaluate.children["sched.bind"].calls == schedulable
+    assert evaluate.children["core.energy"].calls == schedulable
+    assert schedulable == tracer.counters["explore.evaluated"]
     return result, tracer
 
 

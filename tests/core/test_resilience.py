@@ -324,6 +324,20 @@ class TestCacheRejected:
 # PersistentEvaluationCache + SweepCheckpoint
 # ---------------------------------------------------------------------------
 
+#: The header of journals written before dependence graphs were plain
+#: dicts.
+V1_MAGIC = b"REPRO-EVALCACHE v1\n"
+
+
+def _rewrite_magic(path: str, magic: bytes) -> None:
+    """Swap a journal's header line, keeping its records."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.startswith(JOURNAL_MAGIC) and len(magic) == len(JOURNAL_MAGIC)
+    with open(path, "wb") as fh:
+        fh.write(magic + data[len(JOURNAL_MAGIC):])
+
+
 class TestPersistentCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.journal")
@@ -379,6 +393,20 @@ class TestPersistentCache:
         with open(path, "rb") as fh:
             assert fh.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
 
+    def test_v1_journal_with_records_loads_nothing(self, tmp_path):
+        # v1 journals pickled networkx dependence graphs; their header
+        # alone identifies them, whatever their records hold.
+        path = str(tmp_path / "cache.journal")
+        with PersistentEvaluationCache(path) as cache:
+            cache.put("a", 1)
+            cache.put("b", "schedule rejection")
+        _rewrite_magic(path, V1_MAGIC)
+        with PersistentEvaluationCache(path) as reloaded:
+            assert reloaded.loaded == 0
+            assert reloaded.corrupt == 1
+            assert reloaded.get("a") is None
+        assert open(path, "rb").read() == JOURNAL_MAGIC
+
     def test_scan_journal_is_read_only(self, tmp_path):
         path = str(tmp_path / "cache.journal")
         with PersistentEvaluationCache(path) as cache:
@@ -387,8 +415,9 @@ class TestPersistentCache:
             fh.write(b"\xde\xad")
         before = open(path, "rb").read()
         scan = scan_journal(path)
-        assert scan == {"ok": True, "records": 1, "corrupt": 1,
-                        "keys": ["k"], "bytes_good": scan["bytes_good"],
+        assert scan == {"ok": True, "magic": JOURNAL_MAGIC, "records": 1,
+                        "corrupt": 1, "keys": ["k"],
+                        "bytes_good": scan["bytes_good"],
                         "bytes_total": len(before)}
         assert open(path, "rb").read() == before  # untouched
 
@@ -524,6 +553,20 @@ class TestVerifyCheckpoint:
             fh.write(b"garbage")
         assert verify_checkpoint(directory).has_errors
 
+    def test_v1_journal_is_an_error_naming_its_version(self,
+                                                       bound_checkpoint):
+        directory, context = bound_checkpoint
+        path = os.path.join(directory, "cache.journal")
+        _rewrite_magic(path, V1_MAGIC)
+        before = open(path, "rb").read()
+        assert scan_journal(path)["ok"] is False
+        report = verify_checkpoint(directory, expected_context=context)
+        assert report.has_errors
+        assert any("REPRO-EVALCACHE v1 journal" in f.message
+                   and "REPRO-EVALCACHE v2" in f.message
+                   for f in report.errors)
+        assert open(path, "rb").read() == before  # the audit is read-only
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -550,6 +593,18 @@ class TestExploreCLI:
         import json
         meta = json.loads((directory / "checkpoint.json").read_text())
         assert meta["app"] == "ckey"
+
+    def test_resume_refuses_a_v1_journal(self, capsys, tmp_path):
+        directory = tmp_path / "ck"
+        assert main(["explore", "ckey", "--checkpoint",
+                     str(directory)]) == 0
+        capsys.readouterr()
+        _rewrite_magic(str(directory / "cache.journal"), V1_MAGIC)
+        assert main(["explore", "ckey", "--checkpoint", str(directory),
+                     "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert "REPRO-EVALCACHE v1 journal" in captured.out
+        assert "cannot resume" in captured.err
 
     def test_resume_requires_checkpoint(self, capsys):
         assert main(["explore", "ckey", "--resume"]) == 1

@@ -1,4 +1,5 @@
-"""Entry modules stay free of numpy until the first pricing needs it."""
+"""Entry modules stay free of numpy until the first pricing needs it,
+and nothing imports networkx."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ def test_entry_modules_import_without_numpy():
         [sys.executable, str(REPO_ROOT / "tools" / "check_import_hygiene.py")],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("ok: 5 entry modules")
+    assert done.stdout.startswith("ok: 6 entry modules")
+    assert "numpy, networkx" in done.stdout
 
 
 def test_the_first_pricing_loads_numpy():
@@ -26,6 +28,19 @@ def test_the_first_pricing_loads_numpy():
             "assert 'numpy' not in sys.modules\n"
             "front = profile_app(app_by_name('ckey'), cmos6_library())\n"
             "assert front.record.complete and 'numpy' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_flow_never_loads_networkx():
+    # Lowering, the CFG queries, clustering and the list scheduler all
+    # run in one flow; the graphs they build are plain dicts.
+    code = ("import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['run', 'ckey']) == 0\n"
+            "assert 'networkx' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)

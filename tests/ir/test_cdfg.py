@@ -165,6 +165,79 @@ def test_natural_loop_detection():
     assert loops == [("header", frozenset({"header", "body"}))]
 
 
+def cfg_of(*edges, entry="entry"):
+    """A CFG with the given (src, dst) edges, added in order; only the
+    graph shape matters here, so blocks stay empty."""
+    cdfg = CDFG("f")
+    cdfg.add_block(entry)
+    for src, dst in edges:
+        for name in (src, dst):
+            if name not in cdfg.blocks:
+                cdfg.add_block(name)
+        cdfg.add_edge(src, dst, "jump")
+    return cdfg
+
+
+def test_reverse_postorder_follows_successor_insertion_order():
+    # The depth-first walk takes successors in the order their edges were
+    # added, so swapping the two entry edges swaps the arms.
+    first_x = cfg_of(("entry", "x"), ("entry", "y"), ("x", "z"), ("y", "z"))
+    assert first_x.postorder() == ["z", "x", "y", "entry"]
+    assert first_x.reverse_postorder() == ["entry", "y", "x", "z"]
+    first_y = cfg_of(("entry", "y"), ("entry", "x"), ("x", "z"), ("y", "z"))
+    assert first_y.reverse_postorder() == ["entry", "x", "y", "z"]
+
+
+def test_reverse_postorder_skips_unreachable_blocks():
+    cdfg = cfg_of(("entry", "a"), ("island", "a"))
+    assert cdfg.reverse_postorder() == ["entry", "a"]
+
+
+def test_immediate_dominators_of_a_diamond():
+    assert make_diamond().immediate_dominators() == {
+        "entry": "entry", "then": "entry", "else": "entry",
+        "merge": "entry"}
+
+
+def test_natural_loops_of_nested_loops():
+    cdfg = cfg_of(("entry", "outer"), ("outer", "inner"), ("outer", "exit"),
+                  ("inner", "body"), ("inner", "latch"), ("body", "inner"),
+                  ("latch", "outer"))
+    assert cdfg.natural_loops() == [
+        ("inner", frozenset({"inner", "body"})),
+        ("outer", frozenset({"outer", "inner", "body", "latch"})),
+    ]
+
+
+def test_natural_loops_merge_two_back_edges_of_one_header():
+    cdfg = cfg_of(("entry", "h"), ("h", "a"), ("h", "exit"), ("a", "b"),
+                  ("a", "c"), ("b", "h"), ("c", "h"))
+    assert cdfg.natural_loops() == [("h", frozenset({"h", "a", "b", "c"}))]
+
+
+def test_natural_loops_self_loop():
+    cdfg = cfg_of(("entry", "h"), ("h", "h"), ("h", "exit"))
+    assert cdfg.natural_loops() == [("h", frozenset({"h"}))]
+
+
+def test_irreducible_two_entry_cycle_is_no_natural_loop():
+    # a and b form a cycle entered at both: neither dominates the other,
+    # so neither edge of the cycle is a back edge.
+    cdfg = cfg_of(("entry", "a"), ("entry", "b"), ("a", "b"), ("b", "a"))
+    assert cdfg.immediate_dominators() == {
+        "entry": "entry", "a": "entry", "b": "entry"}
+    assert cdfg.natural_loops() == []
+
+
+def test_remove_block_drops_its_edges():
+    cdfg = make_diamond()
+    cdfg.remove_block("else")
+    assert "else" not in cdfg.blocks
+    assert cdfg.successors("entry") == ["then"]
+    assert cdfg.predecessors("merge") == ["then"]
+    assert cdfg.reverse_postorder() == ["entry", "then", "merge"]
+
+
 def test_op_count():
     assert make_diamond().op_count == 5
 
@@ -177,15 +250,14 @@ def test_flow_dependence():
     a = Operation(OpKind.CONST, result=v("a"), const=1)
     b = Operation(OpKind.ADD, result=v("b"), operands=(v("a"), v("a")))
     ddg = build_data_dependence_graph([a, b])
-    assert ddg.has_edge(a, b)
-    assert ddg.edges[a, b]["dep"] == "flow"
+    assert ddg[a] == {b: "flow"}
 
 
 def test_output_dependence():
     a = Operation(OpKind.CONST, result=v("x"), const=1)
     b = Operation(OpKind.CONST, result=v("x"), const=2)
     ddg = build_data_dependence_graph([a, b])
-    assert ddg.edges[a, b]["dep"] == "output"
+    assert ddg[a][b] == "output"
 
 
 def test_anti_dependence():
@@ -193,8 +265,8 @@ def test_anti_dependence():
     read = Operation(OpKind.ADD, result=v("y"), operands=(v("x"), v("x")))
     redefine = Operation(OpKind.CONST, result=v("x"), const=2)
     ddg = build_data_dependence_graph([a, read, redefine])
-    assert ddg.has_edge(read, redefine)
-    assert ddg.edges[read, redefine]["dep"] == "anti"
+    assert redefine in ddg[read]
+    assert ddg[read][redefine] == "anti"
 
 
 def test_store_load_dependence_same_symbol():
@@ -202,8 +274,8 @@ def test_store_load_dependence_same_symbol():
     store = Operation(OpKind.STORE, operands=(v("i"), v("i")), symbol="a")
     load = Operation(OpKind.LOAD, result=v("x"), operands=(v("i"),), symbol="a")
     ddg = build_data_dependence_graph([i, store, load])
-    assert ddg.has_edge(store, load)
-    assert ddg.edges[store, load]["dep"] == "mem"
+    assert load in ddg[store]
+    assert ddg[store][load] == "mem"
 
 
 def test_no_dependence_between_different_symbols():
@@ -211,7 +283,7 @@ def test_no_dependence_between_different_symbols():
     store = Operation(OpKind.STORE, operands=(v("i"), v("i")), symbol="a")
     load = Operation(OpKind.LOAD, result=v("x"), operands=(v("i"),), symbol="b")
     ddg = build_data_dependence_graph([i, store, load])
-    assert not ddg.has_edge(store, load)
+    assert load not in ddg[store]
 
 
 def test_load_store_war_on_memory():
@@ -219,7 +291,7 @@ def test_load_store_war_on_memory():
     load = Operation(OpKind.LOAD, result=v("x"), operands=(v("i"),), symbol="a")
     store = Operation(OpKind.STORE, operands=(v("i"), v("x")), symbol="a")
     ddg = build_data_dependence_graph([i, load, store])
-    assert ddg.has_edge(load, store)
+    assert store in ddg[load]
 
 
 def test_store_store_ordering():
@@ -227,11 +299,11 @@ def test_store_store_ordering():
     s1 = Operation(OpKind.STORE, operands=(v("i"), v("i")), symbol="a")
     s2 = Operation(OpKind.STORE, operands=(v("i"), v("i")), symbol="a")
     ddg = build_data_dependence_graph([i, s1, s2])
-    assert ddg.has_edge(s1, s2)
+    assert s2 in ddg[s1]
 
 
 def test_ddg_is_acyclic():
-    import networkx as nx
+    from graphlib import TopologicalSorter
     ops = [
         Operation(OpKind.CONST, result=v("a"), const=1),
         Operation(OpKind.ADD, result=v("b"), operands=(v("a"), v("a"))),
@@ -239,4 +311,10 @@ def test_ddg_is_acyclic():
         Operation(OpKind.MUL, result=v("c"), operands=(v("a"), v("b"))),
     ]
     ddg = build_data_dependence_graph(ops)
-    assert nx.is_directed_acyclic_graph(ddg)
+    preds = {op: {src for src in ddg if op in ddg[src]} for op in ddg}
+    # static_order raises graphlib.CycleError on a cycle.
+    assert list(TopologicalSorter(preds).static_order()) == ops
+    # Keys are program order and every edge points forward.
+    assert list(ddg) == ops
+    assert all(ops.index(src) < ops.index(dst)
+               for src in ddg for dst in ddg[src])

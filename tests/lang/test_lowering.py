@@ -101,6 +101,19 @@ def test_unreachable_code_pruned():
     assert len(cdfg.blocks) == 1
 
 
+def test_unreachable_blocks_and_their_edges_pruned():
+    # The loop body returns, so the loop's latch is never reached; it is
+    # pruned with its edge back to the header.
+    cdfg = lower("func f(n: int) -> int { for i in 0 .. n { return i; } "
+                 "return 0; }")
+    cdfg.verify()
+    assert not any(name.startswith("forlatch") for name in cdfg.blocks)
+    assert set(cdfg.reverse_postorder()) == set(cdfg.blocks)
+    for name in cdfg.blocks:
+        assert set(cdfg.successors(name)) <= set(cdfg.blocks)
+        assert set(cdfg.predecessors(name)) <= set(cdfg.blocks)
+
+
 def test_implicit_return_for_void():
     cdfg = lower("func f() { }")
     returns = [op for op in cdfg.all_ops() if op.kind is OpKind.RETURN]

@@ -19,19 +19,22 @@ import repro
 ANNOUNCE_RE = re.compile(r"listening on http://127\.0\.0\.1:(\d+)")
 
 
-def spawn_server(tmp_path, log_name, *extra_args, checkpoint=None):
+def spawn_server(tmp_path, log_name, *extra_args, checkpoint=None,
+                 entry=("-m", "repro")):
     """Spawn ``repro serve --port 0 [extra_args]``; return (proc, port).
 
     The ephemeral port is parsed from the machine-readable announce
     line the server prints to stderr (captured into
     ``tmp_path/log_name``).  Fails the test if the server dies before
-    announcing or never announces.
+    announcing or never announces.  ``entry`` is what the interpreter
+    runs in place of ``-m repro``, e.g. ``("-c", code)`` where ``code``
+    calls :func:`repro.cli.main` on ``sys.argv[1:]``.
     """
     src_dir = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
-    argv = [sys.executable, "-m", "repro", "serve", "--port", "0"]
+    argv = [sys.executable, *entry, "serve", "--port", "0"]
     if checkpoint is not None:
         argv += ["--checkpoint", str(checkpoint)]
     argv += list(extra_args)

@@ -11,15 +11,18 @@ pre-kill job id by polling alone.
 import signal
 import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs import Tracer
 from repro.service import (
+    JOB_JOURNAL_FILENAME,
     ServiceClient,
     ServiceCore,
     ServiceServer,
     build_request_payload,
+    scan_job_journal,
 )
 
 from tests.service.conftest import spawn_server
@@ -120,13 +123,30 @@ class TestHttpSoak:
         assert other[0] == 202, "other clients must still be admitted"
 
 
+#: ``repro serve`` whose every evaluation waits on an event nobody sets:
+#: the server admits and journals jobs but never finishes one.
+HELD_SERVE = f"""
+import sys, threading
+sys.path.insert(0, {str(Path(__file__).resolve().parents[2])!r})
+import repro.service
+from repro.cli import main
+from tests.service.test_soak import HeldCore
+release = threading.Event()
+repro.service.ServiceCore = lambda **kwargs: HeldCore(release, **kwargs)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.slow
 def test_sigkill_mid_queue_jobs_resolve_after_restart(tmp_path):
     """The durable-jobs acceptance: SIGKILL with jobs still queued,
     restart, and every pre-kill job id resolves by polling alone."""
     checkpoint = tmp_path / "ckpt"
+    # The first server holds its evaluations, so at the kill two jobs
+    # sit in held evaluations on the two lanes and the third is queued.
     proc, port = spawn_server(tmp_path, "serve1.log", "--lanes", "2",
-                              checkpoint=checkpoint)
+                              checkpoint=checkpoint,
+                              entry=("-c", HELD_SERVE))
     job_ids = []
     try:
         client = ServiceClient(port=port, timeout_s=30)
@@ -136,12 +156,14 @@ def test_sigkill_mid_queue_jobs_resolve_after_restart(tmp_path):
             assert status == 202
             job_ids.append(body["id"])
     finally:
-        # kill immediately: with three jobs just admitted and ~1s
-        # evaluations on 2 lanes, at least one is still queued
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-    assert (checkpoint / "jobs.journal").exists()
+    # One "submitted" record per job and no "finished" record: every
+    # pre-kill job was still pending when the server died.
+    scan = scan_job_journal(str(checkpoint / JOB_JOURNAL_FILENAME))
+    assert scan["ok"] and scan["corrupt"] == 0 and scan["skipped"] == 0
+    assert scan["records"] == len(job_ids)
 
     proc, port = spawn_server(tmp_path, "serve2.log", "--lanes", "2",
                               checkpoint=checkpoint)
