@@ -169,10 +169,11 @@ class LowPowerFlow:
         verify: run the :mod:`repro.verify` invariant pass over the
             finished result and attach it as ``FlowResult.verification``
             (see docs/VALIDATION.md).
-        collect_traces: capture memory-reference traces during the system
+        collect_traces: attach memory-reference traces to the system
             evaluations so the verifier can cross-check cache accesses
-            reference by reference (``mem.trace``); implies extra memory
-            proportional to the instruction count.
+            reference by reference (``mem.trace``).  Each is a view of
+            the execution record its evaluation priced, so the flow
+            still executes the application once.
     """
 
     def __init__(self, library: Optional[TechnologyLibrary] = None,

@@ -292,25 +292,26 @@ def profile_app(app: "AppSpec", library: TechnologyLibrary,
     The workload binding is checked first with the interpreter's own
     checks (:func:`~repro.lang.interp.check_workload`), so a bad binding
     fails with the same message it always did.  Spans: ``flow.compile``,
-    ``flow.initial`` (link, then the ISS's ``isa.execute`` and
-    ``isa.price``), ``flow.profile`` (the derivation).  The execution
+    ``flow.initial`` (``isa.link``, then the ISS's ``isa.compile``,
+    ``isa.execute`` and ``isa.price``), ``flow.profile`` (the
+    derivation).  The execution
     record is kept so the partitioned design is priced, not run again.
 
     With ``fronts``, a workload already executed is only priced under
     ``library`` and the app's caches (``explore.front.hits``; the
     ``flow.initial`` span then holds one ``isa.price``), and a new one is
     executed and kept within the memo's bounds
-    (``explore.front.misses``).  A trace-collecting run never consults
-    ``fronts``: a priced record captures no trace.
+    (``explore.front.misses``).  ``collect_trace`` attaches the trace of
+    the record priced, either way.
     """
     tracer = tracer or NullTracer()
-    if fronts is None or collect_trace:
+    if fronts is None:
         return _execute_app(app, library, tracer, collect_trace)
     key = workload_key(app)
     front = fronts.get(key)
     if front is None:
         tracer.count("explore.front.misses")
-        front = _execute_app(app, library, tracer, False)
+        front = _execute_app(app, library, tracer, collect_trace)
         if front.record is not None:
             fronts.put(key, front, nbytes=front.record.nbytes)
         return front
@@ -319,7 +320,7 @@ def profile_app(app: "AppSpec", library: TechnologyLibrary,
         initial = evaluate_initial(
             front.image, library, icache_cfg=app.icache,
             dcache_cfg=app.dcache, model_caches=app.model_caches,
-            record=front.record)
+            collect_trace=collect_trace, record=front.record)
     return replace(front, initial=initial)
 
 

@@ -18,8 +18,8 @@ For one :class:`~repro.fuzz.generator.FuzzProgram` the stack runs:
    priced under a partition derived from the program (every other block
    label in hardware, :func:`derived_partition`), checked against a
    hardware-shadow run of the reference engine on the same observables
-   as stage 3; the compiled engine executing under that partition must
-   record the same trace;
+   as stage 3, including the trace (the priced record's is a view of it,
+   as a trace-collecting partitioned evaluation attaches);
 6. periodically, the **full partitioning flow** under the
    :mod:`repro.verify` invariant audit (``LowPowerFlow(verify=True,
    collect_traces=True)``) — results must match the interpreter, the
@@ -366,7 +366,7 @@ class OracleStack:
                 for name, values in sorted(fuzz_program.globals_init.items())
             }
             engine_runs[engine] = (sim_result, sim_globals, mem.counters(),
-                                   trace.events if trace else None)
+                                   trace.events if trace is not None else None)
             if (engine == "reference"
                     and sim_result.instructions
                     > self.config.trace_instruction_limit):
@@ -500,30 +500,24 @@ class OracleStack:
         """The record priced under a derived partition must equal a
         hardware-shadow run of the reference engine (stage 5)."""
         hw_blocks = derived_partition(image)
-        runs: Dict[str, Tuple] = {}
-        # The reference runs the partitioned design; the compiled engine
-        # executes it too only to record the partitioned trace.
-        for engine in ("reference", "compiled") if want_trace \
-                else ("reference",):
-            mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
-            trace = MemoryTrace() if want_trace else None
-            sim = self._simulator(image, engine, mem, trace, hw_blocks)
-            for name, values in fuzz_program.globals_init.items():
-                sim.set_global(name, values)
-            try:
-                result = sim.run(*fuzz_program.args)
-            except SimError as exc:
-                outcome.mismatches.append(Mismatch(
-                    kind="price.fault",
-                    parties=f"iss-{engine} (partitioned)",
-                    detail=f"the hardware-shadow run faulted: {exc}"))
-                return
-            runs[engine] = (result, mem.counters(),
-                            trace.events if trace else None)
         mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
-        priced = self._simulator(image, "compiled", mem, None,
+        ref_trace = MemoryTrace() if want_trace else None
+        sim = self._simulator(image, "reference", mem, ref_trace, hw_blocks)
+        for name, values in fuzz_program.globals_init.items():
+            sim.set_global(name, values)
+        try:
+            reference = sim.run(*fuzz_program.args)
+        except SimError as exc:
+            outcome.mismatches.append(Mismatch(
+                kind="price.fault",
+                parties="iss-reference (partitioned)",
+                detail=f"the hardware-shadow run faulted: {exc}"))
+            return
+        ref_counters = mem.counters()
+        mem = _MemorySystem(CACHE_GEOMETRIES[geometry], self.library)
+        trace = MemoryTrace() if want_trace else None
+        priced = self._simulator(image, "compiled", mem, trace,
                                  hw_blocks).price(record)
-        reference, ref_counters, ref_trace = runs["reference"]
         for fname in _ENGINE_FIELDS:
             ref_value = getattr(reference, fname)
             value = getattr(priced, fname)
@@ -541,13 +535,12 @@ class OracleStack:
             outcome.mismatches.append(Mismatch(
                 kind="price.cache", parties="iss-reference vs priced record",
                 detail=f"memory-system counters differ: {', '.join(diff)}"))
-        if want_trace and runs["compiled"][2] != ref_trace:
-            com_trace = runs["compiled"][2]
+        if want_trace and trace.events != ref_trace.events:
             outcome.mismatches.append(Mismatch(
                 kind="price.trace",
-                parties="iss-reference vs iss-compiled (partitioned)",
+                parties="iss-reference vs priced record (partitioned)",
                 detail=f"partitioned traces differ (lengths "
-                       f"{len(ref_trace)}/{len(com_trace)})"))
+                       f"{len(ref_trace)}/{len(trace)})"))
 
     def _check_flow(self, fuzz_program, outcome: OracleOutcome,
                     geometry: str, interp_result: int) -> None:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.isa.codegen import CodeGenerator
 from repro.isa.instructions import Instruction, Opcode, WORD_BYTES
 from repro.lang.program import Program
+from repro.obs import get_tracer
 
 #: Memory map (byte addresses).
 CODE_BASE = 0x0000_0000
@@ -94,7 +95,13 @@ def layout_globals(program: Program) -> Dict[str, int]:
 
 
 def link_program(program: Program) -> ProgramImage:
-    """Compile and link ``program`` into an executable image."""
+    """Compile and link ``program`` into an executable image (span
+    ``isa.link``)."""
+    with get_tracer().span("isa.link"):
+        return _link(program)
+
+
+def _link(program: Program) -> ProgramImage:
     global_layout = layout_globals(program)
     function_code = CodeGenerator(program, global_layout).generate()
 

@@ -43,10 +43,13 @@ import numpy as np
 from repro.isa.image import CODE_BASE
 from repro.isa.instructions import Opcode, TAKEN_BRANCH_PENALTY, WORD_BYTES
 from repro.mem.cache_batch import BatchCache
+from repro.mem.trace import Access
 
-#: Block executions per slice of the block sequence: a few thousand
-#: kernel events per slice keeps the stream arrays small.
-SLICE_BLOCKS = 2048
+#: Block executions per slice of the block sequence: a few tens of
+#: thousands of kernel events per slice keeps the stream arrays small and
+#: the numpy calls few (six warm initial pricings of the bundled apps
+#: were fastest at 8,192, against 2,048 to 65,536).
+SLICE_BLOCKS = 8192
 
 #: Float elements per window of the per-pc addend matrices.
 _WINDOW_ELEMENTS = 1 << 16
@@ -67,6 +70,26 @@ def _gather(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(ends[-1]) if len(ends) else 0
     return (np.arange(total, dtype=np.int64)
             - np.repeat(ends - lengths - offsets, lengths))
+
+
+def _block_tables(blocks):
+    """Per block its first pc and length, and per pc its block."""
+    starts = np.array([start for start, _ in blocks], dtype=np.int64)
+    blen = np.array([end - start for start, end in blocks], dtype=np.int64)
+    return starts, blen, np.repeat(np.arange(len(blocks), dtype=np.int64),
+                                   blen)
+
+
+def _data_tables(opcode, block_of_pc: np.ndarray, nblk: int):
+    """The static data references (``LW``/``SW``): their pcs in
+    ascending order, which are writes, and per block how many there are
+    and the index of its first."""
+    data_pcs = np.flatnonzero(np.array(
+        [op is Opcode.LW or op is Opcode.SW for op in opcode], dtype=bool))
+    d_write = np.array([opcode[p] is Opcode.SW for p in data_pcs.tolist()],
+                       dtype=bool)
+    nd = np.bincount(block_of_pc[data_pcs], minlength=nblk)
+    return data_pcs, d_write, nd, np.cumsum(nd) - nd
 
 
 @dataclass
@@ -104,9 +127,7 @@ def price_record(sim, record) -> Priced:
     memory_model, bus = sim.memory_model, sim.bus
 
     # -- static tables ---------------------------------------------------
-    starts = np.array([start for start, _ in blocks], dtype=np.int64)
-    blen = np.array([end - start for start, end in blocks], dtype=np.int64)
-    block_of_pc = np.repeat(np.arange(nblk, dtype=np.int64), blen)
+    starts, blen, block_of_pc = _block_tables(blocks)
     pc_hw = np.array(sim._is_hw, dtype=bool)
     hw_b = pc_hw[starts] if nblk else np.zeros(0, dtype=bool)
     class_names = sorted(set(sim._class) | {"nop"})
@@ -133,18 +154,14 @@ def price_record(sim, record) -> Priced:
         ih_addr = fetch[head_pcs].astype(np.int32)
         ibatch = BatchCache.from_cache(icache)
     if dcache is not None:
-        is_data = np.array([op is Opcode.LW or op is Opcode.SW
-                            for op in opcode], dtype=bool)
-        data_pcs = np.flatnonzero(is_data)
-        d_write = np.array([opcode[p] is Opcode.SW for p in data_pcs],
-                           dtype=bool)
-        nd = np.bincount(block_of_pc[data_pcs], minlength=nblk)
-        d_off = np.cumsum(nd) - nd
+        data_pcs, d_write, nd, d_off = _data_tables(opcode, block_of_pc,
+                                                    nblk)
         dbatch = BatchCache.from_cache(dcache)
         daddrs = _int32_view(record.daddrs)
 
     # -- one pass over the block sequence, a slice at a time -------------
     bseq = _int32_view(record.bseq)
+    block_dtype = np.min_scalar_type(max(nblk - 1, 0))
     bcount = np.zeros(nblk, dtype=np.int64)
     carry_cid = class_id["nop"]
     in_hw = False
@@ -162,7 +179,7 @@ def price_record(sim, record) -> Priced:
         s = bseq[j0:j0 + SLICE_BLOCKS]
         n = len(s)
         # Execution index of every slice position within its block.
-        order = np.argsort(s, kind="stable")
+        order = np.argsort(s.astype(block_dtype), kind="stable")
         ranked = s[order]
         rank = np.empty(n, dtype=np.int64)
         rank[order] = (np.arange(n, dtype=np.int64)
@@ -344,3 +361,72 @@ def _sum_addends(rows: np.ndarray, executions: int, static_t: np.ndarray,
         flat[:, 0] += total
         total = np.add.accumulate(flat, axis=1)[:, -1]
     return total
+
+
+class RecordReferences:
+    """The software-side memory references of an execution record.
+
+    Exactly what the reference interpreter traces running the record's
+    execution with hardware-shadow pcs ``is_hw``: per software block
+    execution, each instruction's fetch, followed for a ``LW``/``SW`` by
+    its data reference; hardware-shadow blocks add nothing.  The source
+    of a :class:`~repro.mem.trace.MemoryTrace` view.
+    """
+
+    def __init__(self, record, is_hw: List[bool]) -> None:
+        self.record = record
+        opcode = [instr.opcode for instr in record.image.instructions]
+        self._starts, self._blen, block_of_pc = _block_tables(record.blocks)
+        nblk = len(record.blocks)
+        self._data_pcs, self._d_write, self._nd, self._d_off = \
+            _data_tables(opcode, block_of_pc, nblk)
+        self._sw = ~np.array(is_hw, dtype=bool)[self._starts]
+        # A data reference follows its own fetch and its block's earlier
+        # fetches and data references.
+        owner = block_of_pc[self._data_pcs]
+        self._d_at = (self._data_pcs - self._starts[owner] + 1
+                      + np.arange(len(owner)) - self._d_off[owner])
+        self._nw = np.bincount(owner[self._d_write], minlength=nblk)
+
+    def counts(self):
+        """(instruction fetches, data reads, data writes)."""
+        runs = np.bincount(_int32_view(self.record.bseq),
+                           minlength=len(self._blen)) * self._sw
+        return (int(np.dot(runs, self._blen)),
+                int(np.dot(runs, self._nd - self._nw)),
+                int(np.dot(runs, self._nw)))
+
+    def __len__(self) -> int:
+        return sum(self.counts())
+
+    def streams(self):
+        """``(fetches, data, writes, data_at)``, as
+        :meth:`MemoryTrace.streams <repro.mem.trace.MemoryTrace.streams>`
+        documents them."""
+        bseq = _int32_view(self.record.bseq)
+        sw = self._sw[bseq]
+        sw_seq = bseq[sw]
+        pcs = _gather(self._starts[sw_seq], self._blen[sw_seq])
+        lengths = self._nd[bseq]
+        slots = _gather(self._d_off[bseq], lengths)
+        owner = np.repeat(np.arange(len(bseq), dtype=np.int64), lengths)
+        per_run = np.where(sw, self._blen[bseq] + lengths, 0)
+        first_event = np.cumsum(per_run) - per_run
+        keep = sw[owner]
+        slots, owner = slots[keep], owner[keep]
+        return (CODE_BASE + pcs * WORD_BYTES,
+                _int32_view(self.record.daddrs)[keep],
+                self._d_write[slots],
+                first_event[owner] + self._d_at[slots])
+
+    def events(self) -> List[tuple]:
+        """The ``(Access, address)`` event list, in trace order."""
+        fetches, data, writes, data_at = self.streams()
+        kinds = np.zeros(len(fetches) + len(data), dtype=np.int8)
+        kinds[data_at] = np.where(writes, Access.WRITE, Access.READ)
+        addresses = np.empty(len(kinds), dtype=np.int64)
+        addresses[data_at] = data
+        addresses[kinds == Access.IFETCH] = fetches
+        members = tuple(Access)
+        return [(members[kind], address) for kind, address
+                in zip(kinds.tolist(), addresses.tolist())]

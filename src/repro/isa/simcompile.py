@@ -32,16 +32,18 @@ traffic — is a function of that record, the static program and the
 hardware/software partition, so one execution prices any
 (partition, cache geometry) pair after the fact
 (:meth:`repro.isa.simulator.Simulator.price`, :mod:`repro.isa.pricing`).
-The only side channel kept inline is the optional memory-reference
-trace (``collect_trace`` consumers and ``repro verify``), recorded in the
-reference event order with runs of static fetch events pre-built as
-constant tuples, and without the events of this simulator's hardware
-blocks.
+The memory-reference trace is one more function of it: a
+trace-collecting run keeps only its record, and its
+:class:`~repro.mem.trace.MemoryTrace` is a view of the record's
+software-side references (:class:`repro.isa.pricing.RecordReferences`),
+so the generated code has no side channel and does not depend on the
+trace.
 
 Jumps into the middle of a block (e.g. a ``RET`` through a hand-crafted
 ``r31``) cannot be ruled out statically, so the driver *deoptimises*: the
-simulator prices the record so far into its memory system and resumes in
-the reference interpreter, which is always correct.
+simulator prices the record so far into its memory system (and lists its
+references into an attached trace) and resumes in the reference
+interpreter, which is always correct.
 
 ``tests/golden/test_golden_values.py`` pins the end-to-end outputs of all
 bundled apps and ``tests/isa/test_engine_equivalence.py`` cross-checks
@@ -55,7 +57,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.isa.image import CODE_BASE, MEMORY_BYTES
+from repro.isa.image import MEMORY_BYTES
 from repro.isa.instructions import Opcode, WORD_BYTES
 
 #: Generated lines per compiled unit.  Blocks are compiled in groups of
@@ -124,23 +126,22 @@ class CompiledProgram:
     """One image compiled to block closures.
 
     ``bind(bseq_append, daddr_append, taken)`` points every closure at a
-    fresh record before a run; ``st`` holds the fuel left.
+    fresh record before a run; ``st`` holds the fuel left.  The code
+    depends only on the image and on ``fuel``, the limit its
+    fuel-exhausted error names.
     """
 
-    __slots__ = ("funcs", "blocks", "size", "st", "bind", "key_ids",
-                 "key_refs", "source")
+    __slots__ = ("funcs", "blocks", "size", "st", "bind", "fuel", "source")
 
     def __init__(self, funcs: List[Optional[Callable]],
                  blocks: List[Tuple[int, int]], size: int, st: List[int],
-                 bind: Callable, key_ids: tuple, key_refs: tuple,
-                 source: str) -> None:
+                 bind: Callable, fuel: int, source: str) -> None:
         self.funcs = funcs
         self.blocks = blocks
         self.size = size
         self.st = st
         self.bind = bind
-        self.key_ids = key_ids
-        self.key_refs = key_refs
+        self.fuel = fuel
         self.source = source
 
 
@@ -178,15 +179,13 @@ def _find_blocks(opcode, target_arr, attribution, entry: int,
 
 
 def compile_program(sim) -> CompiledProgram:
-    """Compile ``sim``'s image for its current trace/fuel binding."""
+    """Compile ``sim``'s image for its fuel limit."""
     from repro.isa.simulator import SimError
 
     opcode = sim._opcode
     rd_arr, rs1_arr, rs2_arr = sim._rd, sim._rs1, sim._rs2
     imm_arr, target_arr = sim._imm, sim._target
-    is_hw = sim._is_hw
     size = len(opcode)
-    trace = sim.trace
     fuel = sim.max_instructions
     word_shift = WORD_BYTES.bit_length() - 1
     assert (1 << word_shift) == WORD_BYTES
@@ -194,44 +193,23 @@ def compile_program(sim) -> CompiledProgram:
     blocks = _find_blocks(opcode, target_arr, sim.image.attribution,
                           sim.image.entry_pc, size)
 
-    # Per block: its constant tuples and its function's lines.
-    emitted: List[Tuple[List[str], List[str]]] = []
-    tc_counter = [0]
+    # Per block: its function's lines.
+    emitted: List[List[str]] = []
 
     def emit(depth: int, text: str) -> None:
         body.append("    " * depth + text)
 
     for bidx, (start, end) in enumerate(blocks):
         body: List[str] = []
-        consts: List[str] = []
-        emitted.append((consts, body))
-        # Hardware-shadow blocks execute and record like any other; they
-        # only stay out of this simulator's μP-side trace.
-        traced = trace is not None and not is_hw[start]
+        emitted.append(body)
         emit(1, f"def _b{start}(regs):")
         emit(2, f"st[0] -= {end - start}")
         emit(2, "if st[0] < 0:")
         emit(3, f'raise SimError("fuel exhausted after {fuel} instructions")')
         emit(2, f"bs({bidx})")
 
-        pending: List[int] = []
-
-        def flush_pending() -> None:
-            if not pending:
-                return
-            name = f"_tc{tc_counter[0]}"
-            tc_counter[0] += 1
-            items = ", ".join(f"(IF, {address})" for address in pending)
-            if len(pending) == 1:
-                items += ","
-            consts.append(f"{name} = ({items})")
-            emit(2, f"t_ext({name})")
-            pending.clear()
-
         for p in range(start, end):
             op = opcode[p]
-            if traced:
-                pending.append(CODE_BASE + p * WORD_BYTES)
             if op in _CTRL:
                 continue  # control transfer emitted after the block body
             dst = f"regs[{rd_arr[p] or 32}]"
@@ -255,9 +233,6 @@ def compile_program(sim) -> CompiledProgram:
                         f'{p}: address {{_a:#x}}")')
                 emit(2, f"{dst} = memory[_a >> {word_shift}]")
                 emit(2, "da(_a)")
-                if traced:
-                    flush_pending()
-                    emit(2, "t_ap((RD, _a))")
             elif op is Opcode.SW:
                 emit(2, f"_a = {a} + ({imm})" if imm else f"_a = {a}")
                 emit(2, f"if _a < 0 or _a >= {MEMORY_BYTES}:")
@@ -265,9 +240,6 @@ def compile_program(sim) -> CompiledProgram:
                         f'{p}: address {{_a:#x}}")')
                 emit(2, f"memory[_a >> {word_shift}] = {b}")
                 emit(2, "da(_a)")
-                if traced:
-                    flush_pending()
-                    emit(2, "t_ap((WR, _a))")
             elif op is Opcode.NOT:
                 emit(2, f"{dst} = {_wrap_expr(f'~{a}')}")
             elif op is Opcode.NEG:
@@ -296,7 +268,6 @@ def compile_program(sim) -> CompiledProgram:
                 pass
             else:  # pragma: no cover - decode is exhaustive
                 raise ValueError(f"cannot compile {op}")
-        flush_pending()
 
         last = end - 1
         op = opcode[last]
@@ -321,7 +292,7 @@ def compile_program(sim) -> CompiledProgram:
     # Each unit's closures share its own record cells; ``bind`` sets all.
     units: List[List[int]] = [[]]
     unit_lines = 0
-    for bidx, (_consts, body) in enumerate(emitted):
+    for bidx, body in enumerate(emitted):
         if units[-1] and unit_lines + len(body) > _UNIT_LINES:
             units.append([])
             unit_lines = 0
@@ -329,31 +300,25 @@ def compile_program(sim) -> CompiledProgram:
         unit_lines += len(body)
 
     st = [0]
-    from repro.mem.trace import Access
-    hooks = (st, sim.memory, SimError,
-             trace.events.extend if trace is not None else None,
-             trace.events.append if trace is not None else None,
-             Access.IFETCH, Access.READ, Access.WRITE)
     funcs: List[Optional[Callable]] = [None] * size
     binds: List[Callable] = []
     sources: List[str] = []
     for unit in units:
         lines = [
-            "def _build(st, memory, SimError, t_ext, t_ap, IF, RD, WR):",
+            "def _build(st, memory, SimError):",
             "    bs = da = tk = None",
             "    def _bind(bseq_append, daddr_append, taken):",
             "        nonlocal bs, da, tk",
             "        bs, da, tk = bseq_append, daddr_append, taken",
         ]
         for bidx in unit:
-            lines.extend("    " + const for const in emitted[bidx][0])
-            lines.extend(emitted[bidx][1])
+            lines.extend(emitted[bidx])
         lines.append("    return {%s}, _bind" % ", ".join(
             f"{blocks[bidx][0]}: _b{blocks[bidx][0]}" for bidx in unit))
         source = "\n".join(lines) + "\n"
         namespace: dict = {}
         exec(compile(source, "<repro-simcompile>", "exec"), namespace)
-        unit_funcs, bind = namespace["_build"](*hooks)
+        unit_funcs, bind = namespace["_build"](st, sim.memory, SimError)
         for start, fn in unit_funcs.items():
             funcs[start] = fn
         binds.append(bind)
@@ -363,7 +328,5 @@ def compile_program(sim) -> CompiledProgram:
         for bind in binds:
             bind(bseq_append, daddr_append, taken)
 
-    key_refs = (trace,)
-    key_ids = (id(trace), fuel)
-    return CompiledProgram(funcs, blocks, size, st, bind_all, key_ids,
-                           key_refs, "".join(sources))
+    return CompiledProgram(funcs, blocks, size, st, bind_all, fuel,
+                           "".join(sources))

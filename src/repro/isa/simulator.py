@@ -28,8 +28,10 @@ Two engines produce **bit-identical** observable results:
   the data addresses, the taken branches); :meth:`Simulator.price`
   (:mod:`repro.isa.pricing`) then charges the record to this simulator's
   hardware blocks and memory system.  Cycles, energy_nj, per-block
-  attribution, cache counters and trace events match the reference bit
-  for bit.  One record prices any partition and cache geometry of the
+  attribution and cache counters match the reference bit for bit, and
+  an attached trace becomes a view of the record
+  (:class:`~repro.isa.pricing.RecordReferences`) holding the reference's
+  events.  One record prices any partition and cache geometry of the
   same image, which is how the flow prices the partitioned design
   without a second execution.  Jumps into a block interior (only
   reachable through unusual hand-written images) price the record so
@@ -237,8 +239,8 @@ class Simulator:
         simulator's hardware blocks and memory system.
 
         Nothing executes: the result equals a :meth:`run` of the same
-        workload on this simulator, and the attached caches, memory and
-        bus end as that run would leave them.
+        workload on this simulator, and the attached caches, memory, bus
+        and trace end as that run would leave them.
         """
         if record.image is not self.image:
             raise ValueError("the record is of another image")
@@ -256,7 +258,10 @@ class Simulator:
         return result
 
     def _price(self, record):
-        from repro.isa.pricing import price_record
+        """Price ``record``; an attached trace gets its references."""
+        from repro.isa.pricing import RecordReferences, price_record
+        if self.trace is not None:
+            self.trace.append_view(RecordReferences(record, self._is_hw))
         return price_record(self, record)
 
     def _class_chain(self, hw_blocks):
@@ -272,9 +277,9 @@ class Simulator:
         from repro.isa.simcompile import ExecutionRecord, compile_program
 
         prog = self._compiled
-        key = (id(self.trace), self.max_instructions)
-        if prog is None or prog.key_ids != key:
-            prog = compile_program(self)
+        if prog is None or prog.fuel != self.max_instructions:
+            with get_tracer().span("isa.compile"):
+                prog = compile_program(self)
             self._compiled = prog
         if record is None:
             record = ExecutionRecord()
@@ -316,6 +321,8 @@ class Simulator:
         """Price the record so far, then finish in the interpreter.
 
         The record stays incomplete: it holds only the compiled prefix.
+        An attached trace lists the prefix's references, and the
+        interpreter appends the rest.
         """
         with get_tracer().span("isa.price"):
             done = self._price(record)

@@ -40,10 +40,17 @@ stalls and energies to the instruction that missed.  A cache can start
 warm (:meth:`BatchCache.from_cache`) and finish into the
 :class:`~repro.mem.cache.Cache` it came from.
 
-A geometry sweep (:func:`replay_sweep`) walks the trace once: each chunk
-is converted and split into its i and d streams once, then fed to one
-:class:`BatchCache` per distinct cache geometry, so pairs that share an
-i-cache or a d-cache share its replay.
+A geometry sweep (:func:`replay_sweep`) walks the trace once, from its
+arrays (:meth:`~repro.mem.trace.MemoryTrace.streams`: a view of an
+execution record derives them, an event list converts once), one chunk
+of trace events at a time, feeding one :class:`BatchCache` per distinct
+cache geometry, so pairs that share an i-cache or a d-cache share its
+replay.  The i-stream is cut to the heads of same-line runs once per
+line size: a fetch to the line of the fetch before it hits the MRU line
+and moves no LRU state, so it only counts as a read hit.  The d-stream
+is its addresses plus write flags.  Set indices sort in the narrowest
+unsigned dtype that holds them (numpy's radix path up to 2^16 sets),
+which gives the same stable permutation.
 
 Counters (see docs/OBSERVABILITY.md): ``mem.batch.replays``,
 ``mem.batch.caches``, ``mem.batch.chunks``, ``mem.batch.events``.
@@ -51,13 +58,12 @@ Counters (see docs/OBSERVABILITY.md): ``mem.batch.replays``,
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mem.cache import Cache, CacheConfig
-from repro.mem.trace import Access, MemoryTrace
+from repro.mem.trace import MemoryTrace
 from repro.obs import get_tracer
 
 #: Events per chunk.  Large enough to amortize array setup, small enough
@@ -86,6 +92,7 @@ class BatchCache:
         self.name = name
         self._assoc = config.associativity
         self._set_mask = config.num_sets - 1
+        self._sort_dtype = np.min_scalar_type(self._set_mask)
         self._offset_shift = config.offset_bits
         self._index_shift = config.index_bits
         self._stacks: List[List[int]] = [[] for _ in range(config.num_sets)]
@@ -129,8 +136,10 @@ class BatchCache:
         sets = lines & self._set_mask
         tags = lines >> self._index_shift
         # Stable sort groups equal sets while preserving each set's own
-        # subsequence order — the equivalence-preserving transform.
-        order = np.argsort(sets, kind="stable")
+        # subsequence order — the equivalence-preserving transform.  The
+        # narrowest unsigned dtype gives the same permutation, on numpy's
+        # radix path for up to 2^16 sets.
+        order = np.argsort(sets.astype(self._sort_dtype), kind="stable")
         sets = sets[order]
         tags = tags[order]
         if is_write is None or not is_write.any():
@@ -357,12 +366,13 @@ def replay_sweep(trace: MemoryTrace,
     i-cache as reads, READ events feed the d-cache as reads, and any
     other kind feeds the d-cache as a write.  Caches are independent, so
     each distinct i-cache and d-cache geometry is replayed once however
-    many pairs share it, and each chunk of the trace is converted and
-    split into its i and d streams once for all of them.  Returns one
-    ``(icache, dcache)`` pair of freshly materialized :class:`Cache`
-    objects per entry of ``space``, in order — bit-identical (counters
-    and tag store) to a scalar :meth:`Cache.access` replay of that pair;
-    no two entries share a :class:`Cache`.
+    many pairs share it, from the trace's arrays
+    (:meth:`MemoryTrace.streams`), one chunk of ``chunk_events`` trace
+    events at a time.  Returns one ``(icache, dcache)`` pair of freshly
+    materialized :class:`Cache` objects per entry of ``space``, in
+    order — bit-identical (counters and tag store) to a scalar
+    :meth:`Cache.access` replay of that pair; no two entries share a
+    :class:`Cache`.
     """
     if chunk_events < 1:
         raise ValueError(f"chunk_events must be positive: {chunk_events}")
@@ -375,30 +385,38 @@ def replay_sweep(trace: MemoryTrace,
     tracer = get_tracer()
     tracer.count("mem.batch.replays")
     tracer.count("mem.batch.caches", len(ibatches) + len(dbatches))
-    events = trace.events
-    ifetch = int(Access.IFETCH)
-    read = int(Access.READ)
-    for start in range(0, len(events), chunk_events):
-        chunk = events[start:start + chunk_events]
+    fetches, data, writes, data_at = trace.streams()
+    # Chunk bounds as positions in the trace and in each stream.
+    bounds = np.append(np.arange(0, len(trace), chunk_events), len(trace))
+    d_bounds = np.searchsorted(data_at, bounds)
+    # A fetch to the line of the fetch before it hits the line that one
+    # left most recently used and moves no LRU state, so each i-cache
+    # replays only the heads of same-line runs, cut once per line size.
+    heads = {}
+    for icfg in ibatches:
+        shift = icfg.offset_bits
+        if shift not in heads:
+            lines = fetches >> shift
+            head = np.ones(len(lines), dtype=bool)
+            np.not_equal(lines[1:], lines[:-1], out=head[1:])
+            at = np.flatnonzero(head)
+            heads[shift] = (fetches[at],
+                            np.searchsorted(at, bounds - d_bounds))
+    for c in range(len(bounds) - 1):
         tracer.count("mem.batch.chunks")
-        tracer.count("mem.batch.events", len(chunk))
-        # fromiter over a flattened iterator is ~3x faster than asarray
-        # on a list of tuples (no per-tuple unpacking).
-        array = np.fromiter(chain.from_iterable(chunk), dtype=np.int64,
-                            count=2 * len(chunk)).reshape(-1, 2)
-        kinds = array[:, 0]
-        addresses = array[:, 1]
-        imask = kinds == ifetch
-        if imask.any():
-            ifetches = addresses[imask]
-            for batch in ibatches.values():
-                batch.consume_vector(ifetches)
-        dmask = ~imask
-        if dmask.any():
-            daddresses = addresses[dmask]
-            dwrites = kinds[dmask] != read
+        tracer.count("mem.batch.events", int(bounds[c + 1] - bounds[c]))
+        for icfg, batch in ibatches.items():
+            addresses, cut = heads[icfg.offset_bits]
+            if cut[c + 1] > cut[c]:
+                batch.consume_vector(addresses[cut[c]:cut[c + 1]])
+        lo, hi = d_bounds[c], d_bounds[c + 1]
+        if hi > lo:
             for batch in dbatches.values():
-                batch.consume_vector(daddresses, dwrites)
+                batch.consume_vector(data[lo:hi], writes[lo:hi])
+    for icfg, batch in ibatches.items():
+        rest = len(fetches) - len(heads[icfg.offset_bits][0])
+        batch.reads += rest
+        batch.read_hits += rest
     return [(ibatches[icfg].finish(), dbatches[dcfg].finish())
             for icfg, dcfg in space]
 

@@ -9,23 +9,33 @@ simple dinero-like text format::
     r 0x00010008        # data read
     w 0x000ffff0        # data write
 
-Recording is on the simulator's hot path, so next to the one-at-a-time
-:meth:`MemoryTrace.record` there is :meth:`MemoryTrace.record_batch`
-(one ``list.extend`` per run of fetches — the compiled ISS engine
-records its precomputed per-block fetch batches the same way) and
-:meth:`MemoryTrace.counts` tallies kinds in a single C-level
-:class:`collections.Counter` pass.  Both leave the stored event sequence
-byte-identical to per-event recording;
-``tests/golden/test_golden_values.py`` and the engine-equivalence tests
-pin the exact event order.
+A :class:`MemoryTrace` is one of two things:
+
+* an **event list** of ``(Access, address)`` tuples — what the reference
+  interpreter records one reference at a time, :meth:`MemoryTrace.load`
+  parses and tests build;
+* a **view** of an execution record.  The compiled ISS keeps only its
+  :class:`~repro.isa.simcompile.ExecutionRecord`, and the static program
+  plus the record determine every software-side reference
+  (:class:`repro.isa.pricing.RecordReferences`).  A view's length, kind
+  counts and replay arrays (:meth:`MemoryTrace.streams`) are computed
+  from block counts and the record's data addresses; its event list is
+  built only when something iterates it (the reference replay,
+  :meth:`MemoryTrace.dump`, the fuzz oracle), and from then on that list
+  is the trace.
+
+Both hold the reference event order exactly;
+``tests/mem/test_record_trace.py``, the engine-equivalence tests and the
+fuzz oracle compare a view's events with the reference interpreter's,
+event for event.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, List, Tuple
+from itertools import chain
+from typing import IO, Iterator, List, Optional, Tuple
 
 
 class Access(enum.IntEnum):
@@ -43,27 +53,42 @@ _CHAR_KIND = {v: k for k, v in _KIND_CHAR.items()}
 TraceEvent = Tuple[Access, int]
 
 
-@dataclass
 class MemoryTrace:
-    """An ordered sequence of memory references."""
+    """An ordered sequence of memory references.
 
-    events: List[TraceEvent] = field(default_factory=list)
+    It starts as an event list (``events``, empty by default); an empty
+    one becomes a view through :meth:`append_view`.
+    """
+
+    def __init__(self, events: Optional[List[TraceEvent]] = None) -> None:
+        #: The event list; ``None`` while a view has not needed one.
+        self._events = [] if events is None else events
+        #: The view's :class:`~repro.isa.pricing.RecordReferences`.
+        self._source = None
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The event list, built from the view's source on first use."""
+        if self._events is None:
+            self._events = self._source.events()
+        return self._events
 
     def record(self, kind: Access, address: int) -> None:
         self.events.append((kind, address))
 
-    def record_batch(self, events: Iterable[TraceEvent]) -> None:
-        """Append many events in one C-level ``list.extend``.
-
-        The compiled ISS engine precomputes the (static) fetch-event runs
-        of each basic block as constant tuples and records them with a
-        single call instead of one :meth:`record` per instruction.  Event
-        order is exactly the per-reference order of the reference model.
-        """
-        self.events.extend(events)
+    def append_view(self, source) -> None:
+        """Append the references of ``source``, a
+        :class:`~repro.isa.pricing.RecordReferences`: an empty event-list
+        trace becomes a view of it, any other trace lists them."""
+        if self._events is not None and not self._events:
+            self._events, self._source = None, source
+        else:
+            self.events.extend(source.events())
 
     def __len__(self) -> int:
-        return len(self.events)
+        if self._events is None:
+            return len(self._source)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -78,10 +103,33 @@ class MemoryTrace:
         Any kind that is neither IFETCH nor READ counts as a write, as in
         the original per-event loop.
         """
-        tally = Counter(kind for kind, _ in self.events)
+        if self._events is None:
+            return self._source.counts()
+        tally = Counter(kind for kind, _ in self._events)
         fetches = tally.get(Access.IFETCH, 0)
         reads = tally.get(Access.READ, 0)
-        return fetches, reads, len(self.events) - fetches - reads
+        return fetches, reads, len(self._events) - fetches - reads
+
+    def streams(self):
+        """The trace as replay arrays ``(fetches, data, writes, data_at)``.
+
+        ``fetches`` holds the instruction-fetch addresses and ``data``
+        the data addresses, each in trace order; ``writes`` flags the
+        data references that are not reads and ``data_at`` gives each
+        data reference's position in the trace.  A view derives them
+        from its record; an event list takes one ``np.fromiter``.
+        """
+        if self._events is None:
+            return self._source.streams()
+        import numpy as np
+
+        flat = np.fromiter(chain.from_iterable(self._events),
+                           dtype=np.int64,
+                           count=2 * len(self._events)).reshape(-1, 2)
+        kinds, addresses = flat[:, 0], flat[:, 1]
+        data_at = np.flatnonzero(kinds != Access.IFETCH)
+        return (addresses[kinds == Access.IFETCH], addresses[data_at],
+                kinds[data_at] != Access.READ, data_at)
 
     def footprint_bytes(self, granularity: int = 4) -> int:
         """Distinct bytes touched, at ``granularity``-byte resolution."""

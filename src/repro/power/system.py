@@ -9,7 +9,9 @@ same execution with the chosen cluster in hardware-shadow mode (see
 execution record when it has one, so the application runs on the ISS
 once — adds the ASIC core's energy and cycles from the synthesis models,
 and accounts the shared-memory transfer traffic on the bus, the memory
-and the μP core.
+and the μP core.  With ``collect_trace=True`` either one attaches the
+memory-reference trace, a view of the record it priced (the software
+side's references only), so collecting a trace executes nothing extra.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class MemorySystemStats:
     #: (instruction fetches, data reads, data writes) of the captured
     #: memory-reference trace, when one was collected.
     trace_counts: Optional[Tuple[int, int, int]] = None
-    #: The captured reference stream itself (``collect_trace=True`` only).
+    #: The captured reference stream itself (``collect_trace=True``
+    #: only): a view of the execution record the evaluation priced.
     trace: Optional[MemoryTrace] = None
 
 
@@ -170,8 +173,7 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
     reference.  ``record``, an empty
     :class:`~repro.isa.simcompile.ExecutionRecord`, keeps the run's
     execution for :func:`evaluate_partitioned`; a complete one (the same
-    workload on the same image) is priced instead of executed, unless
-    ``collect_trace`` asks for a trace.
+    workload on the same image) is priced instead of executed.
     """
     if icache_cfg is None or dcache_cfg is None:
         default_i, default_d = default_cache_configs()
@@ -185,7 +187,7 @@ def evaluate_initial(image: ProgramImage, library: TechnologyLibrary,
     trace = MemoryTrace() if (collect_trace and model_caches) else None
     sim = Simulator(image, library, icache=icache, dcache=dcache,
                     memory_model=memory, bus=bus, trace=trace)
-    if record is not None and record.complete and trace is None:
+    if record is not None and record.complete:
         result = sim.price(record)
     else:
         for name, values in (globals_init or {}).items():
@@ -246,8 +248,7 @@ def evaluate_partitioned(image: ProgramImage, library: TechnologyLibrary,
             oversized (non-scratchpad) arrays in shared memory.
         record: the initial run's execution record (the same workload on
             the same image, see :func:`evaluate_initial`).  It is priced
-            under ``hw_blocks`` instead of executing the design again,
-            unless ``collect_trace`` asks for the partitioned trace.
+            under ``hw_blocks`` instead of executing the design again.
     """
     if icache_cfg is None or dcache_cfg is None:
         default_i, default_d = default_cache_configs()
@@ -262,7 +263,7 @@ def evaluate_partitioned(image: ProgramImage, library: TechnologyLibrary,
     sim = Simulator(image, library, icache=icache, dcache=dcache,
                     memory_model=memory, bus=bus, hw_blocks=hw_blocks,
                     trace=trace)
-    if record is not None and trace is None:
+    if record is not None:
         result = sim.price(record)
     else:
         for name, values in (globals_init or {}).items():

@@ -99,9 +99,10 @@ def test_cachesweep_trace_splits_the_replay_from_the_iss_run(tmp_path,
     trace = load_trace(str(path))
     (sweep,) = trace["root"]["children"]
     assert sweep["name"] == "cachesweep"
-    # The ISS run (one execution, then its pricing) and the replay.
+    # The link, the ISS run (block compile, one execution, then its
+    # pricing) and the replay.
     assert [span["name"] for span in sweep["children"]] == [
-        "isa.execute", "isa.price", "mem.replay"]
+        "isa.link", "isa.compile", "isa.execute", "isa.price", "mem.replay"]
     # One pass over the 281,851-event trace feeds all 12 distinct caches
     # of the 18-pair default space.
     counters = trace["counters"]

@@ -123,6 +123,10 @@ def _flow_trace(**flow_options):
     result = LowPowerFlow(tracer=tracer, **flow_options).run(app)
     assert result.partitioned is not None
     flow_span = tracer.root.children["flow.run"]
+    initial = flow_span.children["flow.initial"]
+    assert set(initial.children) == {"isa.link", "isa.compile",
+                                     "isa.execute", "isa.price"}
+    assert all(span.calls == 1 for span in initial.children.values())
     assert "partition.sweep" not in flow_span.children
     sweep = flow_span.children["explore.sweep"]
     assert set(sweep.children) == {"partition.prepare", "explore.evaluate"}
@@ -147,21 +151,21 @@ def test_one_flow_executes_the_iss_once(flow_result):
     result, tracer = _flow_trace()
     assert tracer.counters["isa.executions"] == 1
     flow_span = tracer.root.children["flow.run"]
-    initial = flow_span.children["flow.initial"]
-    assert set(initial.children) == {"isa.execute", "isa.price"}
     partitioned = flow_span.children["flow.partitioned"]
     assert set(partitioned.children) == {"isa.price"}
-    # The trace-collecting flow executes the partitioned design instead
-    # (its trace drops the hardware blocks' events) — same numbers.
+    # A trace-collecting flow prices the record too: the partitioned
+    # trace is a view of it without the hardware blocks' events.
     traced, tracer = _flow_trace(collect_traces=True)
-    assert tracer.counters["isa.executions"] == 2
+    assert tracer.counters["isa.executions"] == 1
+    partitioned = tracer.root.children["flow.run"].children[
+        "flow.partitioned"]
+    assert set(partitioned.children) == {"isa.price"}
     assert asdict(traced.partitioned.sim) == asdict(result.partitioned.sim)
     assert asdict(result.partitioned.sim) == asdict(
         flow_result.partitioned.sim)
     assert traced.partitioned.energy == result.partitioned.energy
     # Through an engine the executed front half is kept: a second flow of
-    # the workload only prices it, and a trace-collecting flow never
-    # consults it, so it still executes both designs.
+    # the workload only prices it, and so does a trace-collecting one.
     from repro.core import ExplorationEngine
     from repro.obs import Tracer
 
@@ -170,9 +174,9 @@ def test_one_flow_executes_the_iss_once(flow_result):
     runs = [LowPowerFlow(tracer=tracer, engine=engine, **options).run(
                 flow_result.app)
             for options in ({}, {}, {"collect_traces": True})]
-    assert tracer.counters["isa.executions"] == 1 + 0 + 2
+    assert tracer.counters["isa.executions"] == 1 + 0 + 0
     assert tracer.counters["explore.front.misses"] == 1
-    assert tracer.counters["explore.front.hits"] == 1
+    assert tracer.counters["explore.front.hits"] == 2
     assert len(engine.fronts) == 1
     assert runs[1].program is runs[0].program
     for run in runs:

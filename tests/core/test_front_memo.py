@@ -180,17 +180,24 @@ def test_records_past_the_byte_bound_are_not_kept(monkeypatch):
     assert memo.get(workload_key(large)) is None
 
 
-def test_trace_collecting_runs_bypass_the_memo():
+def test_trace_collecting_runs_use_the_memo():
+    """A trace is a view of the priced record, so a trace-collecting run
+    on a kept front half only prices it."""
     memo = BoundedMemo()
     app = app_by_name("digs")
-    profile_app(app, cmos6_library(), fronts=memo)
+    plain = profile_app(app, cmos6_library(), fronts=memo)
     tracer = Tracer()
     with use_tracer(tracer):
         traced = profile_app(app, cmos6_library(), tracer,
                              collect_trace=True, fronts=memo)
-    assert tracer.counters["isa.executions"] == 1
-    assert "explore.front.hits" not in tracer.counters
-    assert traced.initial.stats.trace is not None
+    assert "isa.executions" not in tracer.counters
+    assert tracer.counters["explore.front.hits"] == 1
+    assert plain.initial.stats.trace is None
+    trace = traced.initial.stats.trace
+    assert trace.counts() == traced.initial.stats.trace_counts == (
+        plain.initial.stats.icache.reads, plain.initial.stats.dcache.reads,
+        plain.initial.stats.dcache.writes)
+    assert traced.initial.sim.cycles == plain.initial.sim.cycles
 
 
 # ---------------------------------------------------------------------------
