@@ -66,9 +66,8 @@ Commands
 ``serve``
     Run the partitioning service: an asyncio HTTP/JSON server (the
     ``repro-service`` contract, ``docs/SERVICE.md``) with digest-keyed
-    request coalescing, admission control and verify-gated results.
-    ``--lanes N`` shards jobs across N parallel evaluation lanes by
-    request digest; ``--checkpoint DIR`` journals every candidate
+    request coalescing, admission control and verify-gated results, one
+    evaluation at a time.  ``--checkpoint DIR`` journals every candidate
     evaluation *and* every job so a restarted server resumes warm with
     finished jobs still pollable; ``--queue``/``--cache-entries``
     bound the admission queue and the in-memory cache.
@@ -402,10 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                        help="worker processes per candidate sweep "
                             "(default 1 = serial)")
-    serve.add_argument("--lanes", type=positive_int, default=1,
-                       metavar="N",
-                       help="parallel evaluation lanes; jobs shard "
-                            "across lanes by request digest (default 1)")
     serve.add_argument("--queue", type=positive_int, default=64,
                        metavar="N",
                        help="admission bound: queued jobs past N are "
@@ -972,8 +967,8 @@ def _cmd_serve(args) -> int:
     core = ServiceCore(jobs=args.jobs, cache=cache, tracer=tracer,
                        verify=True, timeout=args.timeout)
     server = ServiceServer(core=core, host=args.host, port=args.port,
-                           default_tech=args.tech, lanes=args.lanes,
-                           max_queue=args.queue, journal=job_journal,
+                           default_tech=args.tech, max_queue=args.queue,
+                           journal=job_journal,
                            tracer=tracer)
 
     def announce(host: str, port: int) -> None:

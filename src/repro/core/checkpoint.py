@@ -229,9 +229,10 @@ class PersistentEvaluationCache(EvaluationCache):
     # -- cache interface ----------------------------------------------
 
     def put(self, key: str, outcome: object) -> None:
-        # The whole update runs under the (re-entrant) cache mutex so
-        # concurrent evaluation lanes can never interleave two records'
-        # header/blob bytes in the journal.
+        # The whole update runs under the (re-entrant) cache mutex, so
+        # an entry and its journal record land as one step for any other
+        # thread (the service's event-loop thread reads the statistics
+        # while its evaluation thread fills the cache).
         with self._mutex:
             is_new = key not in self._entries
             super().put(key, outcome)

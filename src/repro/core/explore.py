@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import pickle
 import threading
 import time
 import warnings
@@ -200,8 +199,9 @@ class EvaluationCache:
     Eviction order depends only on the get/put sequence, never on hash
     order, so bounded runs stay deterministic.
 
-    One instance may be shared across threads (the service tier shares a
-    cache between N evaluation lanes): every operation runs under an
+    One instance may be shared across threads (the service's evaluation
+    thread fills the cache while its event-loop thread reads
+    :meth:`stats` for ``/v1/metrics``): every operation runs under an
     internal re-entrant lock, so the LRU pop+reinsert and the eviction
     scan never interleave.
     """
@@ -366,17 +366,13 @@ def _worker_evaluate_pair(payload: AppPayload, library: TechnologyLibrary,
                           seq: int = 0,
                           attempt: int = 0,
                           verify: bool = False,
-                          fault_plan: Optional[FaultPlan] = None,
-                          shm_threshold: Optional[int] = None):
+                          fault_plan: Optional[FaultPlan] = None):
     """Evaluate one (cluster name, resource-set index) pair in a worker.
 
     Returns ``(pair, outcome, counters, seconds, audit)`` where outcome
     is a :class:`CandidateEvaluation` or a rejection string, and audit is
     the worker-side :class:`~repro.verify.VerificationReport` (``None``
-    when ``verify`` is off or the pair was rejected).  With
-    ``shm_threshold`` set, a result pickling to at least that many bytes
-    comes back as a :class:`_ShmResult` shared-memory ticket instead
-    (the engine unpacks it in :meth:`ExplorationEngine._absorb`).
+    when ``verify`` is off or the pair was rejected).
 
     ``seq`` is the engine's deterministic dispatch sequence number and
     ``attempt`` the zero-based retry count; an injected ``fault_plan``
@@ -403,24 +399,22 @@ def _worker_evaluate_pair(payload: AppPayload, library: TechnologyLibrary,
         if verify and not isinstance(outcome, str):
             from repro.verify import verify_candidate
             audit = verify_candidate(outcome, library)
-    return _pack_result((pair, outcome, tracer.counters,
-                         time.perf_counter() - started, audit),
-                        shm_threshold)
+    return (pair, outcome, tracer.counters,
+            time.perf_counter() - started, audit)
 
 
 def _worker_run_flow(library: TechnologyLibrary,
                      config: Optional[PartitionConfig],
                      payload: AppPayload,
-                     verify: bool = False,
-                     shm_threshold: Optional[int] = None):
+                     verify: bool = False):
     """Run one application's complete flow in a worker process."""
     started = time.perf_counter()
     tracer = Tracer()
     with use_tracer(tracer):
         flow = LowPowerFlow(library=library, config=config, verify=verify)
         result = flow.run(payload.to_app())
-    return _pack_result((payload.name, result, tracer.counters,
-                         time.perf_counter() - started), shm_threshold)
+    return (payload.name, result, tracer.counters,
+            time.perf_counter() - started)
 
 
 def _pool_context():
@@ -430,89 +424,6 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy result transport (shared memory)
-# ---------------------------------------------------------------------------
-
-#: Results whose pickle is at least this large ride back to the parent in
-#: a shared-memory segment instead of the executor's result pipe; smaller
-#: ones aren't worth a segment round-trip.  Candidate evaluations with
-#: schedules/traces routinely pickle to hundreds of KiB, and the pipe
-#: both copies the bytes twice (write + read) and chunks them through a
-#: small kernel buffer under the executor's management-thread lock.
-SHM_MIN_RESULT_BYTES = 64 * 1024
-
-
-class _ShmResult:
-    """Ticket for a worker result parked in a shared-memory segment.
-
-    Only this tiny handle crosses the executor pipe; the parent attaches
-    to ``name``, unpickles ``size`` bytes straight out of the mapping
-    (no intermediate copy), then unlinks the segment.
-    """
-
-    __slots__ = ("name", "size")
-
-    def __init__(self, name: str, size: int) -> None:
-        self.name = name
-        self.size = size
-
-
-def _pack_result(result, threshold: Optional[int]):
-    """Worker-side: move a large result into a shared-memory segment.
-
-    Falls back to returning ``result`` unchanged (plain pipe transport)
-    when ``threshold`` is ``None``, the pickle is small, or the segment
-    cannot be created — the transport is an optimisation, never a new
-    failure mode.
-    """
-    if threshold is None:
-        return result
-    data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(data) < threshold:
-        return result
-    try:
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(create=True, size=len(data))
-    except Exception:  # pragma: no cover - /dev/shm exhausted/absent
-        return result
-    segment.buf[:len(data)] = data
-    name = segment.name
-    registered = getattr(segment, "_name", name)
-    segment.close()
-    # Ownership passes to the parent (which unlinks after reading), so
-    # the worker's resource tracker must forget the segment or it would
-    # unlink it out from under the parent when the worker exits
-    # (bpo-39959).
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(registered, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variants
-        pass
-    return _ShmResult(name, len(data))
-
-
-def _unpack_result(result, tracer):
-    """Parent-side: redeem a :class:`_ShmResult` ticket, if one arrived."""
-    if not isinstance(result, _ShmResult):
-        return result
-    from multiprocessing import shared_memory
-    segment = shared_memory.SharedMemory(name=result.name)
-    try:
-        # pickle.loads accepts the memoryview directly: the result is
-        # deserialized straight out of the shared mapping, zero-copy.
-        payload = pickle.loads(segment.buf[:result.size])
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink race
-            pass
-    tracer.count("explore.shm.results")
-    tracer.count("explore.shm.bytes", result.size)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +495,6 @@ class ExplorationEngine:
             :meth:`explore` and :meth:`run_flow` execute each workload
             once and price it again at any node or cache geometry.
 
-    Worker results pickling to at least :data:`SHM_MIN_RESULT_BYTES` ride
-    back in a shared-memory segment, with only a tiny ticket through the
-    executor pipe (``explore.shm.*`` counters); smaller ones take the
-    pipe.  Either way the results and decisions are identical.
-
     The engine keeps its worker pool alive across sweeps — use it as a
     context manager or call :meth:`close` to reap the workers.  A pool
     that broke mid-sweep is dropped and transparently rebuilt, so one
@@ -628,10 +534,6 @@ class ExplorationEngine:
         self.backoff_s = backoff_s
         self.max_pool_rebuilds = max_pool_rebuilds
         self.fault_plan = fault_plan
-        #: Pickled-size floor for shared-memory result transport.  Tests
-        #: lower this to force small results through the shared-memory
-        #: path.
-        self._shm_threshold = SHM_MIN_RESULT_BYTES
         #: Accumulated candidate-audit findings (``verify=True`` only).
         self.verification = None
         if verify:
@@ -850,7 +752,6 @@ class ExplorationEngine:
                 outcomes, rejected) -> None:
         """Fold one successful worker result into the sweep state."""
         tracer = self.tracer
-        result = _unpack_result(result, tracer)
         _pair, outcome, counters, seconds, audit = result
         outcomes[task.index] = outcome
         self._notify_progress(1)
@@ -921,8 +822,7 @@ class ExplorationEngine:
             self._dispatch_seq += 1
         func = partial(_worker_evaluate_pair, payload, partitioner.library,
                        config, tuple(sorted(hw_clusters)), verify=self.verify,
-                       fault_plan=self.fault_plan,
-                       shm_threshold=self._shm_threshold)
+                       fault_plan=self.fault_plan)
         rebuilds = 0
         degraded: List[_ParallelTask] = []
         with tracer.span("explore.evaluate.parallel"):
@@ -1040,13 +940,11 @@ class ExplorationEngine:
         with use_tracer(tracer), tracer.span("explore.flows.parallel"):
             futures = [
                 pool.submit(_worker_run_flow, self.library,
-                            configs[payload.name], payload, self.verify,
-                            self._shm_threshold)
+                            configs[payload.name], payload, self.verify)
                 for payload in payloads]
             try:
                 for future in futures:
-                    name, result, counters, seconds = _unpack_result(
-                        future.result(), tracer)
+                    name, result, counters, seconds = future.result()
                     results[name] = result
                     tracer.merge_counters(counters)
                     tracer.record("flow.run", seconds)
@@ -1059,8 +957,7 @@ class ExplorationEngine:
                     if payload.name in results:
                         continue
                     if self._settled_ok(future):
-                        name, result, counters, seconds = _unpack_result(
-                            future.result(), tracer)
+                        name, result, counters, seconds = future.result()
                         results[name] = result
                         tracer.merge_counters(counters)
                         tracer.record("flow.run", seconds)

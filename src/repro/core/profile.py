@@ -29,9 +29,9 @@ Only the pricing of that front half depends on the technology node and
 the cache geometry: the program, its image, its cache-free execution
 record and the profile do not.  Given a :class:`BoundedMemo`,
 :func:`profile_app` keeps the :class:`ProfiledApp` under the workload's
-content (:func:`workload_key`), so one program under many nodes,
-geometries or service lanes is executed once while it stays in the memo
-and is only priced again.
+content (:func:`workload_key`), so one program under many nodes or
+geometries is executed once while it stays in the memo and is only
+priced again.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ class BoundedMemo:
     (``put(..., nbytes=)``) total at most :attr:`_max_bytes`, evicting
     the least recently used past either bound; a value larger than
     :attr:`_max_bytes` on its own is not kept.  Holds executed front
-    halves (an engine's, shared by the service's per-node engines and
-    lanes, sized by their execution records) and the explore workers'
-    sweep contexts.
+    halves (an engine's, shared by the service's per-node engines, sized
+    by their execution records) and the explore workers' sweep contexts.
     """
 
     #: A front half of a bundled application at scale 1 holds

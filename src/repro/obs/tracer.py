@@ -26,17 +26,18 @@ Worker processes cannot share the parent's tracer; they run under their own
 totals back for merging via :meth:`Tracer.merge_counters` /
 :meth:`Tracer.record`.
 
-One tracer may be shared by several *threads* (the service tier runs N
-evaluation lanes against one metrics sink): counter and span-tree updates
-are serialized by an internal lock, and each thread gets its own span
+One tracer may be shared by several *threads* (the service's evaluation
+thread counts into the tracer whose counters its event-loop thread
+reads for ``/v1/metrics``): counter and span-tree updates are
+serialized by an internal lock, and each thread gets its own span
 *stack* rooted at the shared tree, so concurrent spans aggregate instead
 of corrupting each other's nesting.
 
 The *current tracer* (:func:`get_tracer` / :func:`use_tracer`) lets deep
 layers (scheduler, pre-selection) bump counters without threading a tracer
 argument through every call.  It is **thread-local**: installing a tracer
-on one lane never leaks into another lane mid-evaluation.  The default is
-a :class:`NullTracer` whose operations are no-ops.
+on one thread never leaks into another thread mid-evaluation.  The
+default is a :class:`NullTracer` whose operations are no-ops.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Tracer:
         #: Serializes counter and span-tree mutations across threads.
         self._lock = threading.Lock()
         #: Per-thread span stack; every thread's stack is rooted at the
-        #: shared tree, so concurrent lanes aggregate into one tree.
+        #: shared tree, so concurrent threads aggregate into one tree.
         self._local = threading.local()
         self._started = clock()
 
@@ -250,9 +251,9 @@ def get_tracer() -> Tracer:
 def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
     """Install ``tracer`` as the current tracer for the dynamic extent.
 
-    Thread-local: parallel evaluation lanes each install the (shared,
-    lock-protected) tracer on their own thread without racing each
-    other's restore."""
+    Thread-local: threads that share one (lock-protected) tracer each
+    install it on their own thread without racing each other's
+    restore."""
     previous = getattr(_CURRENT, "tracer", _NULL)
     _CURRENT.tracer = tracer
     try:

@@ -9,7 +9,7 @@ pinned against this package by the doc-drift tests.  Layers:
 * :mod:`repro.service.core` — :class:`PartitionRequest` →
   :class:`PartitionResult`, validated, digest-keyed, verify-gated.
 * :mod:`repro.service.jobs` — admission control, request coalescing,
-  per-client fairness, parallel evaluation lanes, event streams, the
+  per-client fairness, the one evaluation worker, event streams, the
   job state machine.
 * :mod:`repro.service.journal` — the durable job journal: polls (and
   interrupted jobs) survive server restarts.
@@ -40,7 +40,6 @@ from repro.service.jobs import (
     Job,
     JobManager,
     job_id_for_digest,
-    lane_for_digest,
 )
 from repro.service.journal import (
     JOB_JOURNAL_FILENAME,
@@ -87,6 +86,5 @@ __all__ = [
     "VerificationRejected",
     "build_request_payload",
     "job_id_for_digest",
-    "lane_for_digest",
     "scan_job_journal",
 ]

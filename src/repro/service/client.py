@@ -211,8 +211,7 @@ def _follow_stream(client: ServiceClient, job_id: str) -> None:
             print(f"job {job_id} progress {event.get('done')}"
                   f"/{event.get('total')}", file=sys.stderr)
         elif kind == "started":
-            print(f"job {job_id} started on lane {event.get('lane')}",
-                  file=sys.stderr)
+            print(f"job {job_id} started", file=sys.stderr)
         elif kind == "finished":
             print(f"job {job_id} finished: {event.get('state')}",
                   file=sys.stderr)

@@ -50,9 +50,11 @@ from repro.power.system import SystemRun
 SERVICE_SCHEMA_NAME = "repro-service"
 
 #: Current version of the service wire schema.  Version 2 added the
-#: evaluation-lane field on job descriptors, the durable job journal and
-#: the ``/v1/jobs/{id}/events`` streaming endpoint (``docs/SERVICE.md``).
-SERVICE_SCHEMA_VERSION = 2
+#: durable job journal and the ``/v1/jobs/{id}/events`` streaming
+#: endpoint; version 3 dropped the evaluation-worker index from job
+#: descriptors, ``started`` events and ``finished`` journal records (a
+#: server has one evaluation worker; ``docs/SERVICE.md``).
+SERVICE_SCHEMA_VERSION = 3
 
 #: Every key a ``POST /v1/jobs`` request body may carry.
 REQUEST_FIELDS = ("schema", "version", "app", "source", "name", "args",
@@ -324,8 +326,8 @@ class ServiceCore:
 
     Args:
         jobs: worker processes per exploration engine (``1`` = in-process
-            sweeps, the default — the service still parallelizes across
-            jobs via its own queue).
+            sweeps, the default; the job tier runs one evaluation at a
+            time, so this is the only parallelism a server has).
         cache: shared :class:`EvaluationCache`; pass a
             :class:`~repro.core.checkpoint.PersistentEvaluationCache` to
             make the cache tier survive restarts (``repro serve
@@ -340,18 +342,17 @@ class ServiceCore:
         fronts: the executed front halves every engine shares (a
             :class:`~repro.core.profile.BoundedMemo`; one is created if
             omitted), so a program the server has executed is only
-            priced at another node or lane while the memo keeps it.
+            priced at another node while the memo keeps it.
 
     One engine is built lazily per technology node; all of them share
     ``cache``, ``fronts`` and ``tracer`` (cache keys embed the library
     digest, so nodes never alias; a front half is node-free).
-    :meth:`evaluate` is serialized by an internal lock: the engine and
-    its process pool are not thread-safe, and one job-tier
-    evaluation-lane thread is the intended caller.  Parallelism across
-    lanes comes from :meth:`spawn` — one sibling kernel per extra lane,
-    each with its own engines but the *same* (thread-safe) cache, front
-    halves and tracer, so coalescing, metrics and the checkpoint journal
-    stay whole-server while evaluations proceed concurrently.
+    :meth:`evaluate` and :meth:`close` are serialized by an internal
+    lock: the engines and their process pools are not thread-safe.  The
+    job tier's one evaluation thread calls :meth:`evaluate`, while the
+    event-loop thread closes the kernel at shutdown and reads the
+    cache's statistics and the tracer's counters for ``/v1/metrics``
+    (both guard themselves).
     """
 
     def __init__(self, jobs: int = 1,
@@ -383,22 +384,6 @@ class ServiceCore:
                 fronts=self.fronts)
             self._engines[tech] = engine
         return engine
-
-    def spawn(self) -> "ServiceCore":
-        """A sibling kernel for one more evaluation lane.
-
-        The sibling builds its own per-tech engines (each lane thread
-        owns its engines and process pools outright, so the coalescing
-        and verify-gate invariants hold per digest without cross-lane
-        locking) while sharing this kernel's cache, front halves,
-        tracer and fault-tolerance knobs — a cache fill or eviction on
-        any lane is visible to all of them, and ``/v1/metrics`` stays one
-        sink.
-        """
-        return ServiceCore(jobs=self.jobs, cache=self.cache,
-                           tracer=self.tracer, verify=self.verify,
-                           timeout=self.timeout, retries=self.retries,
-                           fronts=self.fronts)
 
     def evaluate(self, request: PartitionRequest,
                  progress=None) -> PartitionResult:

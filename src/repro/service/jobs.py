@@ -1,4 +1,4 @@
-"""Async job lifecycle: lanes, admission, coalescing, streaming, durability.
+"""Async job lifecycle: admission, coalescing, streaming, durability.
 
 :class:`JobManager` sits between the HTTP front-end and the
 :class:`~repro.service.core.ServiceCore` kernel.  Its contract (documented
@@ -13,13 +13,9 @@ in ``docs/SERVICE.md``, pinned by the doc-drift tests):
   re-evaluating (the candidate-level
   :class:`~repro.core.explore.EvaluationCache` additionally makes any
   forced re-evaluation replay as hits).
-* **Evaluation lanes** — ``lanes`` parallel workers, each a dedicated
-  queue + single executor thread + own :class:`ServiceCore` sibling
-  (spawned off the primary, sharing its cache and tracer).  A job's lane
-  is a pure function of its digest (:func:`lane_for_digest`), so every
-  submission of one request lands on the same lane: the coalescing and
-  verify-gate invariants that held for the single worker hold per digest
-  with no cross-lane locking (``service.lanes.dispatched``).
+* **One evaluation worker** — one queue drained by one executor thread
+  into the one :class:`ServiceCore`, so evaluations run one at a time
+  in admission order and no two can miss the same program at once.
 * **Admission control** — at most ``max_queue`` jobs may be queued; past
   that, submission raises :class:`AdmissionError` which the server maps
   to HTTP 429 with a ``Retry-After`` estimate
@@ -69,9 +65,9 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 #: Every key of a job descriptor as returned by the jobs endpoints
 #: (``result`` is ``null`` until the job is ``done``; ``error`` until it
-#: ``failed``; ``lane`` until the job is dispatched to a lane).
+#: ``failed``).
 JOB_FIELDS = ("id", "state", "request_digest", "app", "tech", "client",
-              "lane", "submitted_s", "started_s", "finished_s", "waiters",
+              "submitted_s", "started_s", "finished_s", "waiters",
               "error", "result")
 
 #: Event kinds a job's event stream may carry, in lifecycle order
@@ -98,8 +94,6 @@ class Job:
     request: PartitionRequest
     digest: str
     state: str = "queued"
-    #: Evaluation lane this job is sharded to (digest-determined).
-    lane: Optional[int] = None
     submitted_s: float = field(default_factory=time.time)
     started_s: Optional[float] = None
     finished_s: Optional[float] = None
@@ -125,7 +119,6 @@ class Job:
             "app": self.request.workload_label(),
             "tech": self.request.tech,
             "client": self.request.client,
-            "lane": self.lane,
             "submitted_s": round(self.submitted_s, 3),
             "started_s": (round(self.started_s, 3)
                           if self.started_s is not None else None),
@@ -143,60 +136,27 @@ def job_id_for_digest(digest: str) -> str:
     return f"j{digest[:16]}"
 
 
-def lane_for_digest(digest: str, lanes: int) -> int:
-    """The lane a digest shards to — stable, uniform, content-derived.
-
-    Every submission of one request lands on the same lane, so per-digest
-    ordering (and therefore coalescing correctness) needs no cross-lane
-    coordination.
-    """
-    return int(digest[:8], 16) % lanes
-
-
-class _Lane:
-    """One evaluation lane: a queue, a worker thread and its own kernel."""
-
-    def __init__(self, index: int, core: ServiceCore) -> None:
-        self.index = index
-        self.core = core
-        self.queue: "asyncio.Queue[Job]" = asyncio.Queue()
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-lane{index}")
-        self.task: Optional[asyncio.Task] = None
-        self.busy = False
-        self.evaluations = 0
-
-    def stats(self) -> Dict[str, Any]:
-        return {"lane": self.index, "queued": self.queue.qsize(),
-                "busy": self.busy, "evaluations": self.evaluations}
-
-
 class JobManager:
-    """Admission-controlled, coalescing job queue over N evaluation lanes.
+    """Admission-controlled, coalescing job queue over one evaluation
+    worker.
 
-    Each lane runs evaluations on its own single-worker thread executor
-    so the blocking kernel never stalls the event loop; the kernels
-    themselves may still fan candidates across processes
-    (``ServiceCore(jobs=N)``).  With ``lanes=1`` (the default) the
-    behaviour is exactly the historical single-worker manager.
+    One queue feeds one single-worker thread executor, which runs every
+    evaluation on ``core`` so the blocking kernel never stalls the event
+    loop; the kernel itself may still fan candidates across processes
+    (``ServiceCore(jobs=N)``).
 
     Args:
-        core: the primary kernel; lanes past the first get siblings from
-            ``core.spawn()`` (sharing its cache and tracer).
-        lanes: parallel evaluation lanes (>= 1).
+        core: the kernel every job is evaluated on.
         journal: optional :class:`JobJournal` making jobs durable —
             replayed (and interrupted jobs requeued) on construction.
     """
 
     def __init__(self, core: ServiceCore,
-                 lanes: int = 1,
                  max_queue: int = 64,
                  max_pending_per_client: Optional[int] = None,
                  max_finished: int = 256,
                  tracer: Optional[Tracer] = None,
                  journal: Optional[JobJournal] = None) -> None:
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_finished < 1:
@@ -212,40 +172,33 @@ class JobManager:
         self.journal = journal
         #: job id -> Job, insertion-ordered (drives finished-LRU eviction).
         self._jobs: Dict[str, Job] = {}
-        self._lanes: List[_Lane] = [_Lane(0, core)]
-        for index in range(1, lanes):
-            self._lanes.append(_Lane(index, core.spawn()))
-            self.tracer.count("service.lanes.spawned")
+        self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-eval")
+        self._task: Optional[asyncio.Task] = None
         #: Rotating wake-up for event-stream subscribers (created lazily
         #: inside the running loop; see :meth:`_wake_subscribers`).
         self._event_signal: Optional[asyncio.Event] = None
         self._last_eval_s = 1.0
         self._replay_journal()
 
-    @property
-    def lanes(self) -> int:
-        return len(self._lanes)
-
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        for lane in self._lanes:
-            if lane.task is None:
-                lane.task = loop.create_task(self._drain(lane))
+        if self._task is None:
+            self._task = asyncio.get_running_loop().create_task(
+                self._drain())
 
     async def close(self) -> None:
-        for lane in self._lanes:
-            if lane.task is not None:
-                lane.task.cancel()
-                try:
-                    await lane.task
-                except asyncio.CancelledError:
-                    pass
-                lane.task = None
-        for lane in self._lanes:
-            lane.executor.shutdown(wait=False)
-            lane.core.close()
+        if self._task is not None:
+            self._task.cancel()
+            try:
+                await self._task
+            except asyncio.CancelledError:
+                pass
+            self._task = None
+        self._executor.shutdown(wait=False)
+        self.core.close()
         self._wake_subscribers()  # let streams observe the shutdown
 
     # -- durable state -------------------------------------------------
@@ -275,7 +228,6 @@ class JobManager:
             if finished is not None \
                     and finished.get("state") in ("done", "failed"):
                 job.state = finished["state"]
-                job.lane = finished.get("lane")
                 job.error = finished.get("error")
                 job.result = finished.get("result")
                 for stamp in ("started_s", "finished_s"):
@@ -292,7 +244,7 @@ class JobManager:
                 # recovery costs cache hits, not sweeps.
                 self._jobs[job_id] = job
                 self._publish(job, "queued")
-                self._dispatch(job)
+                self._queue.put_nowait(job)
                 self.tracer.count("service.journal.requeued")
         self._evict_finished()
 
@@ -307,8 +259,7 @@ class JobManager:
         if self.journal is not None:
             self.journal.append({
                 "event": "finished", "id": job.id, "state": job.state,
-                "lane": job.lane, "error": job.error,
-                "result": job.result,
+                "error": job.error, "result": job.result,
                 "started_s": (round(job.started_s, 3)
                               if job.started_s is not None else None),
                 "finished_s": (round(job.finished_s, 3)
@@ -320,9 +271,9 @@ class JobManager:
                  extra: Optional[Dict[str, Any]] = None) -> None:
         """Append one lifecycle event and wake every stream subscriber.
 
-        Runs on the event-loop thread only (progress callbacks from lane
-        threads hop over via ``call_soon_threadsafe``), so the append
-        and the wake-up need no lock.
+        Runs on the event-loop thread only (progress callbacks from the
+        evaluation thread hop over via ``call_soon_threadsafe``), so the
+        append and the wake-up need no lock.
         """
         event: Dict[str, Any] = {
             "seq": len(job.events), "id": job.id, "event": kind,
@@ -384,17 +335,9 @@ class JobManager:
                    if not job.finished and job.request.client == client)
 
     def retry_after_s(self) -> int:
-        """Backpressure hint: roughly how long the queue needs to drain
-        (the backlog spreads across every lane)."""
+        """Backpressure hint: roughly how long the queue needs to drain."""
         backlog = self._pending() + 1
-        return max(1, min(60, round(backlog * self._last_eval_s
-                                    / len(self._lanes))))
-
-    def _dispatch(self, job: Job) -> None:
-        lane = self._lanes[lane_for_digest(job.digest, len(self._lanes))]
-        job.lane = lane.index
-        lane.queue.put_nowait(job)
-        self.tracer.count("service.lanes.dispatched")
+        return max(1, min(60, round(backlog * self._last_eval_s)))
 
     def submit(self, request: PartitionRequest) -> "tuple[Job, bool]":
         """Admit (or coalesce) one request; returns ``(job, created)``.
@@ -428,7 +371,7 @@ class JobManager:
         tracer.count("service.jobs.submitted")
         self._record_submit(job)
         self._publish(job, "queued")
-        self._dispatch(job)
+        self._queue.put_nowait(job)
         return job, True
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -446,7 +389,6 @@ class JobManager:
             "max_queue": self.max_queue,
             "max_pending_per_client": self.max_pending_per_client,
             "retry_after_s": self.retry_after_s(),
-            "lanes": [lane.stats() for lane in self._lanes],
         }
 
     # -- execution -----------------------------------------------------
@@ -480,25 +422,24 @@ class JobManager:
             self._publish(job, "progress", {"done": done, "total": total})
 
     def _progress_callback(self, job: Job, loop: asyncio.AbstractEventLoop):
-        """A ``progress(done, total)`` the kernel may call from its lane
-        thread; events hop to the loop thread, ordered before the
-        evaluation's own completion."""
+        """A ``progress(done, total)`` the kernel may call from the
+        evaluation thread; events hop to the loop thread, ordered before
+        the evaluation's own completion."""
         def progress(done: int, total: int) -> None:
             loop.call_soon_threadsafe(self._on_progress, job, done, total)
         return progress
 
-    async def _drain(self, lane: _Lane) -> None:
+    async def _drain(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            job = await lane.queue.get()
+            job = await self._queue.get()
             job.state = "running"
             job.started_s = time.time()
-            lane.busy = True
-            self._publish(job, "started", {"lane": lane.index})
+            self._publish(job, "started")
             progress = self._progress_callback(job, loop)
             try:
                 result = await loop.run_in_executor(
-                    lane.executor, lane.core.evaluate, job.request,
+                    self._executor, self.core.evaluate, job.request,
                     progress)
             except Exception as exc:  # kernel failures -> failed job
                 job.error = f"{type(exc).__name__}: {exc}"
@@ -509,11 +450,8 @@ class JobManager:
                 job.state = "done"
                 self.tracer.count("service.jobs.completed")
                 self._last_eval_s = max(0.05, result.elapsed_s)
-                lane.evaluations += 1
             finally:
                 job.finished_s = time.time()
-                lane.busy = False
                 self._record_finish(job)
                 self._publish(job, "finished")
                 self._evict_finished()
-                lane.queue.task_done()

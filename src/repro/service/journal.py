@@ -10,7 +10,7 @@ kinds per job id:
   (id, digest, submission time), written the moment a job is admitted;
 * ``"finished"`` — the terminal state (``done``/``failed``), timestamps
   and the full result object (or error string), written the moment the
-  lane finishes.
+  evaluation finishes.
 
 On restart the :class:`~repro.service.jobs.JobManager` replays the
 journal: finished jobs re-enter the registry directly (a pre-kill job id

@@ -16,8 +16,8 @@ response is JSON with ``Connection: close``.  The surface
   chunked JSON lines (``queued``/``started``/``progress``/``finished``),
   one event per line, closing after the terminal event.  The one
   non-atomic response; everything else is a single JSON document.
-* ``GET /v1/metrics`` — the shared tracer's counters plus cache, queue,
-  per-lane and journal statistics (includes ``cache.hit_rate`` and the
+* ``GET /v1/metrics`` — the shared tracer's counters plus cache, queue
+  and journal statistics (includes ``cache.hit_rate`` and the
   coalescing proof: ``service.jobs.submitted`` vs
   ``service.jobs.coalesced`` vs ``service.evaluations``).
 * ``GET /v1/healthz`` — liveness: ``{"status": "ok", ...}``.
@@ -70,13 +70,11 @@ class ServiceServer:
 
     Args:
         core: evaluation kernel (a default verify-gated one is built if
-            omitted).  With ``lanes > 1`` the manager spawns one sibling
-            kernel per extra lane off this one (shared cache/tracer).
+            omitted).
         host / port: bind address; ``port=0`` lets the OS pick — read
             :attr:`port` after :meth:`start` for the real one.
         default_tech: technology node applied to requests that omit
             ``tech`` (``repro serve --tech``).
-        lanes: parallel evaluation lanes (``repro serve --lanes``).
         max_queue / max_pending_per_client: admission bounds, forwarded
             to the :class:`JobManager`.
         journal: optional :class:`JobJournal` making jobs durable across
@@ -88,7 +86,6 @@ class ServiceServer:
     def __init__(self, core: Optional[ServiceCore] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  default_tech: Optional[str] = None,
-                 lanes: int = 1,
                  max_queue: int = 64,
                  max_pending_per_client: Optional[int] = None,
                  journal: Optional[JobJournal] = None,
@@ -101,7 +98,7 @@ class ServiceServer:
         self.default_tech = default_tech
         self.journal = journal
         self.manager = JobManager(
-            self.core, lanes=lanes, max_queue=max_queue,
+            self.core, max_queue=max_queue,
             max_pending_per_client=max_pending_per_client,
             tracer=self.tracer, journal=journal)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -260,7 +257,6 @@ class ServiceServer:
             return 200, {"status": "ok",
                          "schema": SERVICE_SCHEMA_NAME,
                          "version": SERVICE_SCHEMA_VERSION,
-                         "lanes": self.manager.lanes,
                          "uptime_s": round(time.time() - self._started,
                                            3)}, {}
         self.tracer.count("service.http.errors")

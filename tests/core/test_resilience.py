@@ -58,8 +58,7 @@ _LETHAL_MARKER = None
 from repro.core.explore import _worker_run_flow as _REAL_RUN_FLOW  # noqa: E402
 
 
-def _lethal_run_flow(library, config, payload, verify=False,
-                     shm_threshold=None):
+def _lethal_run_flow(library, config, payload, verify=False):
     if payload.name == "trick" and _LETHAL_MARKER:
         try:
             fd = os.open(_LETHAL_MARKER,
@@ -68,7 +67,7 @@ def _lethal_run_flow(library, config, payload, verify=False,
             os._exit(11)
         except FileExistsError:
             pass
-    return _REAL_RUN_FLOW(library, config, payload, verify, shm_threshold)
+    return _REAL_RUN_FLOW(library, config, payload, verify)
 
 
 def _decision_fp(decision):

@@ -494,6 +494,6 @@ def test_service_durable_jobs_section_states_the_journal_contract():
 
 
 def test_service_cli_reference_names_the_new_flags():
-    for flag in ("--lanes", "--retry-429", "--stream", "--poll"):
+    for flag in ("--checkpoint", "--retry-429", "--stream", "--poll"):
         assert flag in SERVICE, (
             f"SERVICE.md CLI reference lost the {flag} flag")

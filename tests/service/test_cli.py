@@ -119,7 +119,7 @@ class TestSubmitExitCodes:
         monkeypatch.setattr(ServiceClient, "submit", record)
         main(["submit", "ckey", "--scale", "2", "--optimize",
               "--tech", "cmos6-45nm", "--client", "ci"])
-        assert seen == {"schema": "repro-service", "version": 2,
+        assert seen == {"schema": "repro-service", "version": 3,
                         "app": "ckey", "scale": 2, "optimize": True,
                         "tech": "cmos6-45nm", "client": "ci"}
 
@@ -271,6 +271,13 @@ class TestServeParser:
     def test_bad_arguments_rejected(self, argv):
         with pytest.raises(SystemExit):
             main(argv)
+
+    def test_lanes_flag_is_gone(self, capsys):
+        # one evaluation worker per server: the flag no longer parses
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--lanes", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --lanes" in capsys.readouterr().err
 
     def test_unreachable_is_distinct_from_rejected(self):
         # regression guard: 1 (unreachable) and 4 (shed) must differ so

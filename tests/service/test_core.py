@@ -237,17 +237,15 @@ class TestSourceValidation:
 
         monkeypatch.setattr(service_core, "Interpreter", Counting)
         tracer = Tracer("validate")
-        with ServiceCore(tracer=tracer) as core:
-            sibling = core.spawn()
-            try:
-                for kernel, tech in ((core, "cmos6-800nm"),
-                                     (core, "cmos6-45nm"),
-                                     (sibling, "cmos6-16nm")):
-                    kernel.evaluate(PartitionRequest.from_dict(
-                        {"source": DOT_SOURCE, "name": "dot",
-                         "globals": {"out": [0] * 8}, "tech": tech}))
-            finally:
-                sibling.close()
+        with ServiceCore(tracer=tracer) as core, \
+                ServiceCore(cache=core.cache, fronts=core.fronts,
+                            tracer=tracer) as other:
+            for kernel, tech in ((core, "cmos6-800nm"),
+                                 (core, "cmos6-45nm"),
+                                 (other, "cmos6-16nm")):
+                kernel.evaluate(PartitionRequest.from_dict(
+                    {"source": DOT_SOURCE, "name": "dot",
+                     "globals": {"out": [0] * 8}, "tech": tech}))
         assert len(runs) == 1
         assert tracer.counters["isa.executions"] == 1
 

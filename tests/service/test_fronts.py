@@ -1,10 +1,10 @@
-"""A program the server keeps is not executed again, whatever the node
-or lane.
+"""A program the server keeps is not executed again, whatever the node.
 
 ``ServiceCore`` hands one memo of executed front halves to every
-per-node engine it builds and to every lane sibling it spawns.  A request
-for a program the memo keeps only prices the kept execution record under
-its own node, and its result must equal a fresh kernel's bit for bit.
+per-node engine it builds, and kernels given the same memo share it.  A
+request for a program the memo keeps only prices the kept execution
+record under its own node, and its result must equal a fresh kernel's
+bit for bit.
 """
 
 import json
@@ -121,24 +121,28 @@ def test_hits_share_and_leave_the_front_half_unchanged(shared):
         assert result.flow.profile is front.profile
 
 
-def test_lane_siblings_share_fronts_under_thread_stress(fresh):
-    """More lanes than cores, all starting at once on overlapping
-    programs with a tiny switch interval: results stay bit-identical."""
-    lanes = (os.cpu_count() or 1) + 2
-    per_lane = 4
+def test_kernels_sharing_fronts_under_thread_stress(fresh):
+    """More threads than CPUs, each with its own kernel over one cache
+    and one memo, all starting at once on overlapping programs with a
+    tiny switch interval: results stay bit-identical."""
+    workers = (os.cpu_count() or 1) + 2
+    per_worker = 4
     deadline = time.monotonic() + 30.0
     tracer = Tracer("stress")
     primary = ServiceCore(tracer=tracer)
-    cores = [primary] + [primary.spawn() for _ in range(lanes - 1)]
-    start = threading.Barrier(lanes)
+    cores = [primary] + [
+        ServiceCore(cache=primary.cache, fronts=primary.fronts,
+                    tracer=tracer)
+        for _ in range(workers - 1)]
+    start = threading.Barrier(workers)
     mismatches, errors, done = [], [], []
 
-    def lane(index, core):
+    def worker(index, core):
         try:
             start.wait()
             offset = (3 * index) % len(REQUESTS)
             order = REQUESTS[offset:] + REQUESTS[:offset]
-            for payload in order[:per_lane]:
+            for payload in order[:per_worker]:
                 if time.monotonic() > deadline:
                     break
                 result = core.evaluate(PartitionRequest.from_dict(payload))
@@ -151,7 +155,7 @@ def test_lane_siblings_share_fronts_under_thread_stress(fresh):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=lane, args=(i, core))
+        threads = [threading.Thread(target=worker, args=(i, core))
                    for i, core in enumerate(cores)]
         for thread in threads:
             thread.start()
@@ -164,10 +168,10 @@ def test_lane_siblings_share_fronts_under_thread_stress(fresh):
         core.close()
     assert not errors, errors
     assert not mismatches, mismatches
-    assert len(done) >= lanes
+    assert len(done) >= workers
     distinct = {(label[0], label[1]) for label in done}
     assert len(primary.fronts) == len(distinct)
-    assert all(sibling.fronts is primary.fronts for sibling in cores)
+    assert all(core.fronts is primary.fronts for core in cores)
 
 
 def test_a_record_past_the_byte_bound_is_not_kept(monkeypatch):

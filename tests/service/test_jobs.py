@@ -44,9 +44,6 @@ class StubCore:
             progress(1, 1)
         return StubResult({"app": label, "verified": True})
 
-    def spawn(self):
-        return self
-
     def close(self):
         pass
 
@@ -224,7 +221,8 @@ class TestExecution:
                                    "done": 0, "failed": 0}
         assert stats["max_queue"] == 4
         assert stats["retry_after_s"] >= 1
-        assert [lane["lane"] for lane in stats["lanes"]] == [0]
+        assert set(stats) == {"states", "max_queue",
+                              "max_pending_per_client", "retry_after_s"}
 
 
 # ---------------------------------------------------------------------------

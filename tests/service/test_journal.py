@@ -19,6 +19,7 @@ from repro.service import (
     JobJournal,
     JobManager,
     PartitionRequest,
+    ServiceServer,
     job_id_for_digest,
     scan_job_journal,
 )
@@ -29,6 +30,7 @@ from tests.service.test_jobs import (
     drain_until_finished,
     request_for,
 )
+from tests.service.test_server import serve_and_call
 
 
 def frame(blob):
@@ -256,3 +258,66 @@ class TestManagerReplay:
         assert tracer.counters["service.journal.appended"] == 4
         audit = scan_job_journal(path)
         assert audit["ok"] and audit["records"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Schema upgrade
+# ---------------------------------------------------------------------------
+
+def version2_records(request):
+    """A job that finished under schema version 2, as that server
+    journaled it: the request carried ``"version": 2`` and the finish
+    record the evaluation-worker index under ``lane``."""
+    digest = request.digest()
+    job_id = job_id_for_digest(digest)
+    return [
+        {"event": "submitted", "id": job_id, "digest": digest,
+         "submitted_s": 1.0,
+         "request": {"schema": "repro-service", "version": 2,
+                     "scale": 1, "optimize": False,
+                     "tech": "cmos6-800nm", "client": "anonymous",
+                     "app": "ckey"}},
+        {"event": "finished", "id": job_id, "state": "done", "lane": 0,
+         "error": None, "result": {"schema": "repro-service",
+                                   "version": 2, "app": "ckey"},
+         "started_s": 1.5, "finished_s": 2.0},
+    ]
+
+
+class TestSchemaUpgrade:
+    def test_version2_journal_opens_and_resurrects_nothing(self, tmp_path):
+        path = str(tmp_path / JOB_JOURNAL_FILENAME)
+        request = request_for()
+        job_id = job_id_for_digest(request.digest())
+        with JobJournal(path) as journal:
+            for record in version2_records(request):
+                journal.append(record)
+
+        tracer = Tracer("upgrade")
+        core = StubCore()
+        with JobJournal(path, tracer=tracer) as journal:
+            assert len(journal.records) == 2
+            assert journal.corrupt == 0 and journal.skipped == 0
+            server = ServiceServer(core=core, journal=journal,
+                                   tracer=tracer)
+            assert server.manager.get(job_id) is None
+            assert tracer.counters["service.journal.skipped"] == 1
+            assert "service.journal.requeued" not in tracer.counters
+
+            def work(client):
+                health = client.healthz()
+                status, _job = client.job(job_id)
+                submit_status, body, _h = client.submit(request.to_dict())
+                return health, status, submit_status, body, \
+                    client.wait(body["id"], timeout_s=30)
+
+            health, status, submit_status, body, job = serve_and_call(
+                server, work)
+        assert health["version"] == 3
+        assert status == 404, "a version-2 job id does not survive"
+        assert submit_status == 202 and body["created"] is True
+        assert body["id"] == job_id
+        assert job["state"] == "done"
+        assert "lane" not in job
+        assert len(core.calls) == 1
+

@@ -39,8 +39,8 @@ class TestRouting:
         assert status == 200
         assert body["status"] == "ok"
         assert body["schema"] == "repro-service"
-        assert body["version"] == 2
-        assert body["lanes"] == 1
+        assert body["version"] == 3
+        assert set(body) == {"status", "schema", "version", "uptime_s"}
 
     def test_unknown_route_is_404(self):
         server = ServiceServer(tracer=Tracer("srv"))

@@ -1,8 +1,8 @@
 """Concurrency soak: mixed clients over real HTTP, kill-and-recover.
 
 The service-tier endurance tests: M client threads × K mixed requests
-against a multi-lane server must cost exactly one evaluation per unique
-digest with every duplicate served the identical result; a saturated
+against one server must cost exactly one evaluation per unique digest
+with every duplicate served the identical result; a saturated
 server sheds fairly; and (slow tier) a SIGKILL with jobs still queued
 must leave a journal from which the restarted server resolves every
 pre-kill job id by polling alone.
@@ -34,17 +34,12 @@ class HeldCore(ServiceCore):
 
     Lets a test hold every job pending for exactly as long as it needs,
     instead of betting that an evaluation outlasts a few HTTP round
-    trips.  Sibling lanes share the same release event.
+    trips.
     """
 
     def __init__(self, release: threading.Event, **kwargs) -> None:
         super().__init__(**kwargs)
         self.release = release
-
-    def spawn(self) -> "HeldCore":
-        return HeldCore(self.release, jobs=self.jobs, cache=self.cache,
-                        tracer=self.tracer, verify=self.verify,
-                        timeout=self.timeout, retries=self.retries)
 
     def evaluate(self, request, progress=None):
         assert self.release.wait(timeout=120), "test never released"
@@ -54,10 +49,10 @@ class HeldCore(ServiceCore):
 class TestHttpSoak:
     def test_mixed_clients_coalesce_per_digest(self):
         """4 client threads × 4 workloads each (16 submissions, 4
-        unique digests) over real HTTP against a 4-lane server."""
+        unique digests) over real HTTP against one server."""
         clients, spread = 4, 4
         tracer = Tracer("soak")
-        server = ServiceServer(lanes=4, max_queue=64,
+        server = ServiceServer(max_queue=64,
                                max_pending_per_client=32, tracer=tracer)
 
         def work(client):
@@ -98,8 +93,8 @@ class TestHttpSoak:
 
     def test_saturation_sheds_fairly_over_http(self):
         release = threading.Event()
-        server = ServiceServer(core=HeldCore(release), lanes=2,
-                               max_queue=8, max_pending_per_client=1)
+        server = ServiceServer(core=HeldCore(release), max_queue=8,
+                               max_pending_per_client=1)
 
         def work(client):
             # Every job stays pending until all four POSTs are answered.
@@ -142,9 +137,9 @@ def test_sigkill_mid_queue_jobs_resolve_after_restart(tmp_path):
     """The durable-jobs acceptance: SIGKILL with jobs still queued,
     restart, and every pre-kill job id resolves by polling alone."""
     checkpoint = tmp_path / "ckpt"
-    # The first server holds its evaluations, so at the kill two jobs
-    # sit in held evaluations on the two lanes and the third is queued.
-    proc, port = spawn_server(tmp_path, "serve1.log", "--lanes", "2",
+    # The first server holds its evaluations, so at the kill one job
+    # sits in a held evaluation and the other two are queued.
+    proc, port = spawn_server(tmp_path, "serve1.log",
                               checkpoint=checkpoint,
                               entry=("-c", HELD_SERVE))
     job_ids = []
@@ -165,7 +160,7 @@ def test_sigkill_mid_queue_jobs_resolve_after_restart(tmp_path):
     assert scan["ok"] and scan["corrupt"] == 0 and scan["skipped"] == 0
     assert scan["records"] == len(job_ids)
 
-    proc, port = spawn_server(tmp_path, "serve2.log", "--lanes", "2",
+    proc, port = spawn_server(tmp_path, "serve2.log",
                               checkpoint=checkpoint)
     try:
         client = ServiceClient(port=port, timeout_s=30)
