@@ -959,7 +959,7 @@ def _cmd_serve(args) -> int:
               f"replayed, {cache.corrupt} discarded", file=sys.stderr)
         jobs_path = os.path.join(args.checkpoint, JOB_JOURNAL_FILENAME)
         job_journal = JobJournal(jobs_path, tracer=tracer)
-        print(f"job journal {jobs_path}: {len(job_journal.records)} "
+        print(f"job journal {jobs_path}: {job_journal.loaded} "
               f"record(s) replayed, {job_journal.corrupt} discarded",
               file=sys.stderr)
     elif args.cache_entries:

@@ -7,10 +7,12 @@ processes and crashes.  Two pieces:
 * :class:`PersistentEvaluationCache` — an ``EvaluationCache`` whose every
   ``put`` is appended to an on-disk journal before the sweep continues,
   so a killed run loses at most the record being written.  The journal is
-  **append-only** and **corruption-tolerant**: loading stops at the first
-  truncated or checksum-failing record (the tail a ``kill -9`` can leave)
-  and the file is truncated back to the last intact record so new appends
-  never sit behind garbage.
+  a :class:`~repro.core.journal.Journal`: append-only, and read under
+  that module's one corruption policy.  Opening truncates a torn or
+  checksum-failing tail (what a ``kill -9`` can leave) back to the last
+  intact record, so new appends never sit behind garbage, and skips an
+  intact record whose pickle no longer loads, so that candidate alone is
+  recomputed.
 * :class:`SweepCheckpoint` — a directory bundling the journal with a
   ``checkpoint.json`` metadata file that pins *whose* results these are
   (application payload, technology library and designer config, all as
@@ -42,12 +44,10 @@ another version loads nothing, as one corrupt record.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
-import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.explore import (
     AppPayload,
@@ -56,6 +56,7 @@ from repro.core.explore import (
     config_digest,
     library_digest,
 )
+from repro.core.journal import Journal, scan
 from repro.core.partitioner import PartitionConfig
 from repro.obs import get_tracer
 
@@ -74,11 +75,10 @@ CHECKPOINT_SCHEMA_NAME = "repro-checkpoint"
 #: Current version of the checkpoint metadata schema.
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_RECORD_HEADER = struct.Struct("<I8s")
 
-
-def _record_digest(blob: bytes) -> bytes:
-    return hashlib.sha256(blob).digest()[:8]
+def _decode_entry(body: bytes) -> Tuple[str, object]:
+    key, outcome = pickle.loads(body)
+    return key, outcome
 
 
 def checkpoint_context_key(app, library, config: Optional[PartitionConfig]
@@ -98,48 +98,20 @@ def checkpoint_context_key(app, library, config: Optional[PartitionConfig]
 
 
 def scan_journal(path: str) -> Dict[str, Any]:
-    """Read-only audit of a journal file: ``{ok, magic, records, corrupt,
-    keys, bytes_good, bytes_total}``.
+    """Read-only audit of a journal file: ``{ok, magic, records, skipped,
+    corrupt, keys, bytes_good, bytes_total}``, as
+    :func:`repro.core.journal.scan` reports it, plus the keys of the
+    records read.
 
     Unlike :class:`PersistentEvaluationCache`, scanning never truncates
     or rewrites — this is what :func:`repro.verify.verify_checkpoint`
     calls, and a verification pass must not mutate its subject.
-    ``ok`` is False when the file does not start with
-    :data:`JOURNAL_MAGIC`; ``magic`` holds the bytes it starts with.
     """
-    records = 0
-    corrupt = 0
-    keys = []
-    with open(path, "rb") as fh:
-        magic = fh.read(len(JOURNAL_MAGIC))
-        bytes_total = os.fstat(fh.fileno()).st_size
-        if magic != JOURNAL_MAGIC:
-            return {"ok": False, "magic": magic, "records": 0, "corrupt": 1,
-                    "keys": [], "bytes_good": 0, "bytes_total": bytes_total}
-        good_end = fh.tell()
-        while True:
-            header = fh.read(_RECORD_HEADER.size)
-            if not header:
-                break
-            if len(header) < _RECORD_HEADER.size:
-                corrupt += 1
-                break
-            length, digest = _RECORD_HEADER.unpack(header)
-            blob = fh.read(length)
-            if len(blob) < length or _record_digest(blob) != digest:
-                corrupt += 1
-                break
-            try:
-                key, _outcome = pickle.loads(blob)
-            except Exception:
-                corrupt += 1
-                break
-            keys.append(key)
-            records += 1
-            good_end = fh.tell()
-    return {"ok": True, "magic": JOURNAL_MAGIC, "records": records,
-            "corrupt": corrupt, "keys": keys, "bytes_good": good_end,
-            "bytes_total": bytes_total}
+    keys: List[str] = []
+    report = scan(path, JOURNAL_MAGIC, _decode_entry,
+                  lambda entry: keys.append(entry[0]))
+    report["keys"] = keys
+    return report
 
 
 class PersistentEvaluationCache(EvaluationCache):
@@ -157,74 +129,33 @@ class PersistentEvaluationCache(EvaluationCache):
 
     Attributes:
         loaded: intact records replayed from the journal on open.
-        corrupt: truncated/checksum-failing tail records discarded on
-            open (the journal is truncated back to the last intact
-            record).
+        skipped: intact records whose pickle did not load on open; they
+            stay in the journal, and their candidates are recomputed.
+        corrupt: 1 when opening found a torn or checksum-failing tail
+            (the journal is truncated back to the last intact record) or
+            no magic line (the journal starts over), else 0.
     """
 
     def __init__(self, path: str,
                  max_entries: Optional[int] = None) -> None:
         super().__init__(max_entries=max_entries)
         self.path = path
-        self.loaded = 0
-        self.corrupt = 0
+        self._journal = Journal(path, JOURNAL_MAGIC)
         tracer = get_tracer()
         with tracer.span("explore.checkpoint.load"):
-            self._open()
+            # Replay through the *base* put, so an in-memory bound evicts
+            # LRU during replay and nothing read is journaled again.
+            found = self._journal.open(
+                _decode_entry,
+                lambda entry: EvaluationCache.put(self, *entry))
+        self.loaded = found["records"]
+        self.skipped = found["skipped"]
+        self.corrupt = found["corrupt"]
         tracer.count("explore.checkpoint.loaded", self.loaded)
+        if self.skipped:
+            tracer.count("explore.checkpoint.skipped", self.skipped)
         if self.corrupt:
             tracer.count("explore.checkpoint.corrupt", self.corrupt)
-
-    # -- journal I/O ---------------------------------------------------
-
-    def _open(self) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        if not os.path.exists(self.path):
-            with open(self.path, "wb") as fh:
-                fh.write(JOURNAL_MAGIC)
-        else:
-            self._replay()
-        self._journal = open(self.path, "ab")
-
-    def _replay(self) -> None:
-        """Load every intact record; truncate any corrupt tail."""
-        with open(self.path, "rb") as fh:
-            magic = fh.read(len(JOURNAL_MAGIC))
-            if magic != JOURNAL_MAGIC:
-                # Not a journal (or a torn header): start over rather
-                # than appending records a future load would skip.
-                self.corrupt += 1
-                with open(self.path, "wb") as out:
-                    out.write(JOURNAL_MAGIC)
-                return
-            good_end = fh.tell()
-            while True:
-                header = fh.read(_RECORD_HEADER.size)
-                if not header:
-                    break  # clean EOF
-                if len(header) < _RECORD_HEADER.size:
-                    self.corrupt += 1
-                    break
-                length, digest = _RECORD_HEADER.unpack(header)
-                blob = fh.read(length)
-                if len(blob) < length or _record_digest(blob) != digest:
-                    self.corrupt += 1
-                    break
-                try:
-                    key, outcome = pickle.loads(blob)
-                except Exception:
-                    self.corrupt += 1
-                    break
-                # Route through the *base* put so an in-memory bound
-                # evicts LRU during replay (never the journaling put —
-                # replay must not re-append what it just read).
-                EvaluationCache.put(self, key, outcome)
-                self.loaded += 1
-                good_end = fh.tell()
-        if self.corrupt:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
 
     # -- cache interface ----------------------------------------------
 
@@ -238,23 +169,13 @@ class PersistentEvaluationCache(EvaluationCache):
             super().put(key, outcome)
             if not is_new:
                 return  # already journaled; keep the journal append-only
-            blob = pickle.dumps((key, outcome), protocol=4)
-            self._journal.write(
-                _RECORD_HEADER.pack(len(blob), _record_digest(blob)))
-            self._journal.write(blob)
-            # Push to the kernel so a SIGKILL loses at most the in-flight
-            # record (fsync durability is not worth its cost per
-            # candidate).
-            self._journal.flush()
+            self._journal.append(pickle.dumps((key, outcome), protocol=4))
         get_tracer().count("explore.checkpoint.appended")
 
     def clear(self) -> None:
         with self._mutex:
             super().clear()
-            self._journal.close()
-            with open(self.path, "wb") as fh:
-                fh.write(JOURNAL_MAGIC)
-            self._journal = open(self.path, "ab")
+            self._journal.reset()
 
     def close(self) -> None:
         self._journal.close()

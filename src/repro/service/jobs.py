@@ -205,26 +205,43 @@ class JobManager:
 
     def _replay_journal(self) -> None:
         """Rebuild the registry from the journal: finished jobs resolve
-        polls directly; interrupted ones are requeued."""
+        polls directly; interrupted ones are requeued.
+
+        Per job id, the first submission whose request parses wins, and
+        it pairs with the last ``finished`` record after it, so the
+        finish of an older, unreadable submission never ends a
+        resubmitted job.
+        """
         if self.journal is None:
             return
-        for job_id, entry in self.journal.jobs_by_id().items():
-            if job_id in self._jobs:
+        # A finished record carries its job's whole result: once folded,
+        # only the registry (bounded by max_finished) keeps it.
+        records, self.journal.records = self.journal.records, []
+        folded: Dict[str, List[Any]] = {}  # id -> [job, finished record]
+        for record in records:
+            job_id = record.get("id")
+            if not isinstance(job_id, str):
                 continue
-            submitted = entry["submitted"]
-            finished = entry["finished"]
+            if record["event"] == "finished":
+                if job_id in folded:
+                    folded[job_id][1] = record
+                continue
+            if job_id in folded:
+                continue
             try:
-                request = PartitionRequest.from_dict(
-                    submitted["request"])
+                request = PartitionRequest.from_dict(record.get("request"))
             except Exception:
                 # A record from an incompatible schema (or a corrupted
-                # request body): there is no job left to rebuild.
+                # request body): there is no job to rebuild from it.
                 self.tracer.count("service.journal.skipped")
                 continue
             job = Job(id=job_id, request=request,
-                      digest=submitted.get("digest", request.digest()))
-            if isinstance(submitted.get("submitted_s"), (int, float)):
-                job.submitted_s = float(submitted["submitted_s"])
+                      digest=record.get("digest", request.digest()))
+            if isinstance(record.get("submitted_s"), (int, float)):
+                job.submitted_s = float(record["submitted_s"])
+            folded[job_id] = [job, None]
+        for job, finished in folded.values():
+            self._jobs[job.id] = job
             if finished is not None \
                     and finished.get("state") in ("done", "failed"):
                 job.state = finished["state"]
@@ -234,7 +251,6 @@ class JobManager:
                     value = finished.get(stamp)
                     if isinstance(value, (int, float)):
                         setattr(job, stamp, float(value))
-                self._jobs[job_id] = job
                 # Synthesized terminal event: a post-restart stream
                 # subscriber still gets closure.
                 self._publish(job, "finished")
@@ -242,7 +258,6 @@ class JobManager:
                 # Queued or running at the kill: requeue.  Re-evaluation
                 # replays out of the persistent evaluation cache, so
                 # recovery costs cache hits, not sweeps.
-                self._jobs[job_id] = job
                 self._publish(job, "queued")
                 self._queue.put_nowait(job)
                 self.tracer.count("service.journal.requeued")

@@ -16,6 +16,9 @@ truncates corrupt tails) and reports findings under the registered
   (another ``REPRO-EVALCACHE`` version is named in the message) — ERROR;
 * a corrupt journal tail — WARNING (the cache loader will truncate it;
   only the damaged suffix is lost);
+* intact records whose pickle does not load — WARNING (the loader skips
+  them, and ``--resume`` recomputes those candidates to the same
+  decision);
 * otherwise an INFO finding with the record/byte statistics.
 
 The CLI runs this before every ``--resume`` and refuses to resume when
@@ -126,6 +129,14 @@ def verify_checkpoint(directory: str,
             subject=directory,
             values={"bytes_total": scan["bytes_total"], "magic": found}))
         return report
+    if scan["skipped"]:
+        report.add(_finding(
+            "explore.checkpoint", Severity.WARNING,
+            f"{scan['skipped']} journaled record(s) cannot be read; "
+            f"resume will recompute those candidates",
+            subject=directory,
+            values={"records": scan["records"],
+                    "skipped": scan["skipped"]}))
     if scan["corrupt"]:
         report.add(_finding(
             "explore.checkpoint", Severity.WARNING,
@@ -136,7 +147,7 @@ def verify_checkpoint(directory: str,
             values={"records": scan["records"],
                     "bytes_good": scan["bytes_good"],
                     "bytes_total": scan["bytes_total"]}))
-    else:
+    if not scan["skipped"] and not scan["corrupt"]:
         report.add(_finding(
             "explore.checkpoint", Severity.INFO,
             f"checkpoint intact: {scan['records']} journaled outcome(s), "

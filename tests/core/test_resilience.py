@@ -38,9 +38,10 @@ from repro.core.checkpoint import (
     JOURNAL_MAGIC,
     scan_journal,
 )
+from repro.core.journal import RECORD_HEADER, record_digest
 from repro.isa.image import link_program
 from repro.lang import Interpreter
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.tech import cmos6_library
 from repro.verify import (
     Finding,
@@ -337,6 +338,27 @@ def _rewrite_magic(path: str, magic: bytes) -> None:
         fh.write(magic + data[len(JOURNAL_MAGIC):])
 
 
+#: A pickle of a class that no longer exists: an intact record whose
+#: outcome cannot be loaded.
+UNREADABLE_BODY = b"cno_such_module\nThing\n."
+
+
+def _replace_record(path: str, index: int, body: bytes) -> None:
+    """Swap a journal's ``index``-th record for an intact frame around
+    ``body``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(JOURNAL_MAGIC)
+    for _ in range(index):
+        length, _digest = RECORD_HEADER.unpack_from(data, start)
+        start += RECORD_HEADER.size + length
+    length, _digest = RECORD_HEADER.unpack_from(data, start)
+    end = start + RECORD_HEADER.size + length
+    framed = RECORD_HEADER.pack(len(body), record_digest(body)) + body
+    with open(path, "wb") as fh:
+        fh.write(data[:start] + framed + data[end:])
+
+
 class TestPersistentCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.journal")
@@ -415,7 +437,7 @@ class TestPersistentCache:
         before = open(path, "rb").read()
         scan = scan_journal(path)
         assert scan == {"ok": True, "magic": JOURNAL_MAGIC, "records": 1,
-                        "corrupt": 1, "keys": ["k"],
+                        "skipped": 0, "corrupt": 1, "keys": ["k"],
                         "bytes_good": scan["bytes_good"],
                         "bytes_total": len(before)}
         assert open(path, "rb").read() == before  # untouched
@@ -478,12 +500,11 @@ class TestSweepCheckpoint:
         # Simulate death after the second journal record: keep a prefix.
         journal = os.path.join(directory, "cache.journal")
         assert scan_journal(journal)["records"] >= 3
-        from repro.core.checkpoint import _RECORD_HEADER
         with open(journal, "r+b") as fh:
             fh.seek(len(JOURNAL_MAGIC))
             for _ in range(2):
-                length, _digest = _RECORD_HEADER.unpack(
-                    fh.read(_RECORD_HEADER.size))
+                length, _digest = RECORD_HEADER.unpack(
+                    fh.read(RECORD_HEADER.size))
                 fh.seek(length, os.SEEK_CUR)
             fh.truncate(fh.tell())
         tracer = Tracer("partial-resume")
@@ -496,6 +517,32 @@ class TestSweepCheckpoint:
         assert tracer.counters["explore.cache.hits"] == 2
         assert tracer.counters["explore.cache.misses"] \
             == report.decision.examined - 2
+
+
+    def test_unreadable_record_is_recomputed_on_resume(self, tmp_path,
+                                                       app, serial_fp):
+        directory = str(tmp_path / "ck")
+        library = cmos6_library()
+        with SweepCheckpoint(directory) as ckpt:
+            ckpt.bind(app, library, app.config)
+            with ExplorationEngine(cache=ckpt.cache) as engine:
+                engine.explore(app)
+        journal = os.path.join(directory, "cache.journal")
+        records = scan_journal(journal)["records"]
+        assert records >= 3
+        _replace_record(journal, 1, UNREADABLE_BODY)
+        tracer = Tracer("skip-resume")
+        with SweepCheckpoint(directory) as ckpt, use_tracer(tracer):
+            ckpt.bind(app, library, app.config)
+            with ExplorationEngine(cache=ckpt.cache,
+                                   tracer=tracer) as engine:
+                report = engine.explore(app)
+        assert _decision_fp(report.decision) == serial_fp
+        assert tracer.counters["explore.checkpoint.skipped"] == 1
+        # every record behind the unreadable one still replays
+        assert tracer.counters["explore.checkpoint.loaded"] == records - 1
+        assert tracer.counters["explore.cache.misses"] == 1
+        assert scan_journal(journal)["records"] == records
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +587,19 @@ class TestVerifyCheckpoint:
         report = verify_checkpoint(directory, expected_context=context)
         assert not report.has_errors
         assert any(f.severity is Severity.WARNING for f in report.findings)
+
+    def test_unreadable_record_is_a_warning_not_error(self,
+                                                      bound_checkpoint):
+        directory, context = bound_checkpoint
+        with open(os.path.join(directory, "cache.journal"), "ab") as fh:
+            fh.write(RECORD_HEADER.pack(len(UNREADABLE_BODY),
+                                        record_digest(UNREADABLE_BODY)))
+            fh.write(UNREADABLE_BODY)
+        report = verify_checkpoint(directory, expected_context=context)
+        assert not report.has_errors
+        assert [f.severity for f in report.findings] == [Severity.WARNING]
+        assert "1 journaled record(s) cannot be read" \
+            in report.findings[0].message
 
     def test_missing_journal_is_an_error(self, bound_checkpoint):
         directory, _context = bound_checkpoint

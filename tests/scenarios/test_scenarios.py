@@ -21,7 +21,8 @@ import repro
 from repro.apps import ALL_APPS, app_by_name
 from repro.cli import main
 from repro.core import SweepCheckpoint
-from repro.core.checkpoint import JOURNAL_MAGIC, _RECORD_HEADER, scan_journal
+from repro.core.checkpoint import JOURNAL_MAGIC, scan_journal
+from repro.core.journal import RECORD_HEADER
 from repro.obs import Tracer
 from repro.scenarios import (
     SCENARIOS,
@@ -276,8 +277,8 @@ class TestScenarioCheckpoint:
         with open(journal, "r+b") as fh:
             fh.seek(len(JOURNAL_MAGIC))
             for _ in range(2):
-                length, _digest = _RECORD_HEADER.unpack(
-                    fh.read(_RECORD_HEADER.size))
+                length, _digest = RECORD_HEADER.unpack(
+                    fh.read(RECORD_HEADER.size))
                 fh.seek(length, os.SEEK_CUR)
             fh.truncate(fh.tell())
         tracer = Tracer("resume")

@@ -23,7 +23,7 @@ from repro.service import (
     job_id_for_digest,
     scan_job_journal,
 )
-from repro.service.journal import _RECORD_HEADER, _record_digest
+from repro.core.journal import RECORD_HEADER, record_digest
 
 from tests.service.test_jobs import (
     StubCore,
@@ -34,15 +34,30 @@ from tests.service.test_server import serve_and_call
 
 
 def frame(blob):
-    return _RECORD_HEADER.pack(len(blob), _record_digest(blob)) + blob
+    return RECORD_HEADER.pack(len(blob), record_digest(blob)) + blob
 
 
-def submitted_record(request, job_id=None):
+def submitted_record(request, job_id=None, submitted_s=1.0):
     digest = request.digest()
     return {"event": "submitted",
             "id": job_id or job_id_for_digest(digest),
-            "digest": digest, "submitted_s": 1.0,
+            "digest": digest, "submitted_s": submitted_s,
             "request": request.to_dict()}
+
+
+def finished_record(job_id, result):
+    return {"event": "finished", "id": job_id, "state": "done",
+            "error": None, "result": result,
+            "started_s": 1.5, "finished_s": 2.0}
+
+
+def run_to_done(manager, *requests):
+    async def scenario():
+        jobs = [manager.submit(request)[0] for request in requests]
+        await drain_until_finished(manager, *jobs)
+        await manager.close()
+        return jobs
+    return asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +112,7 @@ class TestFraming:
         with JobJournal(str(path)) as journal:
             journal.append({"event": "submitted", "id": "j1"})
         blob = json.dumps({"event": "finished", "id": "j1"}).encode()
-        bad = _RECORD_HEADER.pack(len(blob), b"\x00" * 8) + blob
+        bad = RECORD_HEADER.pack(len(blob), b"\x00" * 8) + blob
         with open(path, "ab") as fh:
             fh.write(bad)
         journal = JobJournal(str(path))
@@ -141,8 +156,9 @@ class TestFraming:
             fh.write(b"torn")
         before = path.read_bytes()
         audit = scan_job_journal(str(path))
-        assert audit == {"ok": True, "records": 1, "corrupt": 1,
-                         "skipped": 0, "bytes_good": audit["bytes_good"],
+        assert audit == {"ok": True, "magic": JOB_JOURNAL_MAGIC,
+                         "records": 1, "corrupt": 1, "skipped": 0,
+                         "bytes_good": audit["bytes_good"],
                          "bytes_total": len(before)}
         assert path.read_bytes() == before, "scan must not rewrite"
 
@@ -155,25 +171,49 @@ class TestFraming:
 # ---------------------------------------------------------------------------
 
 class TestFolding:
-    def test_first_submit_and_last_finish_win(self, tmp_path):
+    """The manager folds the replayed records per job id."""
+
+    def replay(self, tmp_path, *records, tracer=None):
         path = str(tmp_path / "jobs.journal")
         with JobJournal(path) as journal:
-            journal.append({"event": "submitted", "id": "j1", "gen": 1})
-            journal.append({"event": "finished", "id": "j1", "gen": 1})
-            journal.append({"event": "submitted", "id": "j1", "gen": 2})
-            journal.append({"event": "finished", "id": "j1", "gen": 2})
-        folded = JobJournal(path).jobs_by_id()
-        assert folded["j1"]["submitted"]["gen"] == 1
-        assert folded["j1"]["finished"]["gen"] == 2
+            for record in records:
+                journal.append(record)
+        with JobJournal(path) as journal:
+            return JobManager(StubCore(), tracer=tracer, journal=journal)
+
+    def test_first_submit_and_last_finish_win(self, tmp_path):
+        # the version-2 submission is unreadable: the first readable
+        # one wins, and the version-2 finish before it is dropped
+        request = request_for()
+        job_id = job_id_for_digest(request.digest())
+        tracer = Tracer("fold")
+        manager = self.replay(
+            tmp_path,
+            *version2_records(request),
+            submitted_record(request, submitted_s=3.0),
+            finished_record(job_id, {"gen": 3}),
+            submitted_record(request, submitted_s=4.0),
+            finished_record(job_id, {"gen": 4}),
+            tracer=tracer)
+        job = manager.get(job_id)
+        assert job.submitted_s == 3.0
+        assert job.state == "done" and job.result == {"gen": 4}
+        assert tracer.counters["service.journal.skipped"] == 1
 
     def test_finish_without_submit_is_dropped(self, tmp_path):
-        path = str(tmp_path / "jobs.journal")
-        with JobJournal(path) as journal:
-            journal.append({"event": "finished", "id": "jorphan"})
-            journal.append({"event": "submitted", "id": "j1"})
-        folded = JobJournal(path).jobs_by_id()
-        assert "jorphan" not in folded
-        assert folded["j1"]["finished"] is None
+        request = request_for()
+        job_id = job_id_for_digest(request.digest())
+        tracer = Tracer("fold")
+        manager = self.replay(
+            tmp_path,
+            finished_record("jorphan", {"gen": 0}),
+            finished_record(job_id, {"gen": 0}),
+            submitted_record(request),
+            tracer=tracer)
+        assert manager.get("jorphan") is None
+        # the finish before the submission does not end it: requeued
+        assert manager.get(job_id).state == "queued"
+        assert tracer.counters["service.journal.requeued"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +221,11 @@ class TestFolding:
 # ---------------------------------------------------------------------------
 
 class TestManagerReplay:
-    def run_to_done(self, manager, *requests):
-        async def scenario():
-            jobs = [manager.submit(request)[0] for request in requests]
-            await drain_until_finished(manager, *jobs)
-            await manager.close()
-            return jobs
-        return asyncio.run(scenario())
-
     def test_finished_jobs_resolve_polls_after_restart(self, tmp_path):
         path = str(tmp_path / "jobs.journal")
         with JobJournal(path) as journal:
             manager = JobManager(StubCore(), journal=journal)
-            (job,) = self.run_to_done(manager, request_for())
+            (job,) = run_to_done(manager, request_for())
         # a new process: fresh manager, fresh journal handle, same file
         core = StubCore()
         with JobJournal(path) as journal:
@@ -203,6 +235,9 @@ class TestManagerReplay:
             assert again.state == "done"
             assert again.result == job.result
             assert again.events[-1]["event"] == "finished"
+            # folded records are dropped; only their count stays
+            assert journal.records == []
+            assert journal.stats()["records"] == 2
         assert core.calls == [], "replayed results must not re-evaluate"
 
     def test_interrupted_jobs_are_requeued_on_restart(self, tmp_path):
@@ -253,7 +288,7 @@ class TestManagerReplay:
         with JobJournal(path, tracer=tracer) as journal:
             manager = JobManager(StubCore(), tracer=tracer,
                                  journal=journal)
-            self.run_to_done(manager, request_for(scale=1),
+            run_to_done(manager, request_for(scale=1),
                              request_for(scale=2))
         assert tracer.counters["service.journal.appended"] == 4
         audit = scan_job_journal(path)
@@ -321,3 +356,25 @@ class TestSchemaUpgrade:
         assert "lane" not in job
         assert len(core.calls) == 1
 
+
+    def test_resubmitted_job_survives_the_next_restart(self, tmp_path):
+        path = str(tmp_path / JOB_JOURNAL_FILENAME)
+        request = request_for()
+        job_id = job_id_for_digest(request.digest())
+        with JobJournal(path) as journal:
+            for record in version2_records(request):
+                journal.append(record)
+        with JobJournal(path) as journal:
+            manager = JobManager(StubCore(), journal=journal)
+            assert manager.get(job_id) is None
+            (job,) = run_to_done(manager, request)
+
+        tracer = Tracer("restart")
+        core = StubCore()
+        with JobJournal(path, tracer=tracer) as journal:
+            revived = JobManager(core, tracer=tracer, journal=journal)
+            again = revived.get(job_id)
+        assert again is not None and again.state == "done"
+        assert again.result == job.result
+        assert tracer.counters["service.journal.skipped"] == 1
+        assert core.calls == []
